@@ -51,13 +51,11 @@ fn bench_marking_strategy(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("stack_mr", name), |b| {
             b.iter(|| {
                 let job = JobConfig::named("ablation");
-                StackMr::new(
-                    StackMrConfig::default()
-                        .with_seed(5)
-                        .with_marking(strategy)
-                        .with_job(job.clone()),
+                StackMr::new(StackMrConfig::default().with_seed(5).with_marking(strategy)).run(
+                    &graph,
+                    &caps,
+                    &FlowContext::new(job),
                 )
-                .run(&graph, &caps, &FlowContext::new(job))
             })
         });
     }
@@ -79,13 +77,11 @@ fn bench_epsilon(c: &mut Criterion) {
             |b, &eps| {
                 b.iter(|| {
                     let job = JobConfig::named("ablation");
-                    StackMr::new(
-                        StackMrConfig::default()
-                            .with_seed(5)
-                            .with_epsilon(eps)
-                            .with_job(job.clone()),
+                    StackMr::new(StackMrConfig::default().with_seed(5).with_epsilon(eps)).run(
+                        &graph,
+                        &caps,
+                        &FlowContext::new(job),
                     )
-                    .run(&graph, &caps, &FlowContext::new(job))
                 })
             },
         );
@@ -108,7 +104,7 @@ fn bench_threads(c: &mut Criterion) {
             |b, &t| {
                 b.iter(|| {
                     let job = JobConfig::named("ablation").with_threads(t);
-                    GreedyMr::new(GreedyMrConfig::default().with_job(job.clone())).run(
+                    GreedyMr::new(GreedyMrConfig::default()).run(
                         &graph,
                         &caps,
                         &FlowContext::new(job),
@@ -137,11 +133,7 @@ fn bench_memory_budget(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("greedymr_budget", name), |b| {
             b.iter(|| {
                 let job = JobConfig::named("ablation").with_memory_budget(budget);
-                GreedyMr::new(GreedyMrConfig::default().with_job(job.clone())).run(
-                    &graph,
-                    &caps,
-                    &FlowContext::new(job),
-                )
+                GreedyMr::new(GreedyMrConfig::default()).run(&graph, &caps, &FlowContext::new(job))
             })
         });
     }

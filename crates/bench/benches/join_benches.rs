@@ -11,9 +11,26 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use smr_datagen::DatasetPreset;
-use smr_mapreduce::JobConfig;
-use smr_simjoin::{baseline_similarity_join, mapreduce_similarity_join, SimJoinConfig};
+use smr_mapreduce::{FlowContext, JobConfig};
+use smr_simjoin::{
+    align_vector_spaces, baseline_similarity_join, corpus_labels, mapreduce_similarity_join,
+    SimJoinResult,
+};
 use smr_text::{Corpus, TokenizerConfig};
+
+/// The corpus-level join the groups time: vector alignment, then both
+/// jobs under a fresh flow running `job`.
+fn join(items: &Corpus, consumers: &Corpus, sigma: f64, job: JobConfig) -> SimJoinResult {
+    let (item_vectors, consumer_vectors) = align_vector_spaces(items, consumers);
+    mapreduce_similarity_join(
+        &item_vectors,
+        &consumer_vectors,
+        &corpus_labels(items),
+        &corpus_labels(consumers),
+        sigma,
+        &FlowContext::new(job),
+    )
+}
 
 /// Streaming similarity join vs the brute-force baseline, in memory and
 /// under a tiny budget.
@@ -27,25 +44,12 @@ fn bench_join(c: &mut Criterion) {
     let consumers = Corpus::build(dataset.consumers.clone(), &TokenizerConfig::tags_only());
     let sigma = DatasetPreset::FlickrSmall.default_sigma();
     group.bench_function("streaming_prefix_filtering", |b| {
-        b.iter(|| {
-            mapreduce_similarity_join(
-                &items,
-                &consumers,
-                &SimJoinConfig::default()
-                    .with_threshold(sigma)
-                    .with_job(JobConfig::named("join-bench")),
-            )
-        })
+        b.iter(|| join(&items, &consumers, sigma, JobConfig::named("join-bench")))
     });
     group.bench_function("streaming_budget_4KiB", |b| {
         b.iter(|| {
-            mapreduce_similarity_join(
-                &items,
-                &consumers,
-                &SimJoinConfig::default().with_threshold(sigma).with_job(
-                    JobConfig::named("join-bench-spill").with_memory_budget(Some(4 * 1024)),
-                ),
-            )
+            let job = JobConfig::named("join-bench-spill").with_memory_budget(Some(4 * 1024));
+            join(&items, &consumers, sigma, job)
         })
     });
     group.bench_function("brute_force_baseline", |b| {

@@ -69,17 +69,11 @@ fn bench_quality_figures(c: &mut Criterion) {
     for &edges in &[1_000usize, 3_000] {
         let (graph, caps) = bench_graph(edges);
         group.bench_with_input(BenchmarkId::new("GreedyMR", edges), &edges, |b, _| {
-            b.iter(|| {
-                GreedyMr::new(GreedyMrConfig::default().with_job(bench_job())).run(
-                    &graph,
-                    &caps,
-                    &bench_flow(),
-                )
-            })
+            b.iter(|| GreedyMr::new(GreedyMrConfig::default()).run(&graph, &caps, &bench_flow()))
         });
         group.bench_with_input(BenchmarkId::new("StackMR", edges), &edges, |b, _| {
             b.iter(|| {
-                StackMr::new(StackMrConfig::default().with_seed(1).with_job(bench_job())).run(
+                StackMr::new(StackMrConfig::default().with_seed(1)).run(
                     &graph,
                     &caps,
                     &bench_flow(),
@@ -88,13 +82,11 @@ fn bench_quality_figures(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("StackGreedyMR", edges), &edges, |b, _| {
             b.iter(|| {
-                StackMr::new(
-                    StackMrConfig::default()
-                        .with_seed(1)
-                        .with_job(bench_job())
-                        .stack_greedy(),
+                StackMr::new(StackMrConfig::default().with_seed(1).stack_greedy()).run(
+                    &graph,
+                    &caps,
+                    &bench_flow(),
                 )
-                .run(&graph, &caps, &bench_flow())
             })
         });
     }
@@ -110,8 +102,11 @@ fn bench_violations(c: &mut Criterion) {
     let (graph, caps) = bench_graph(2_000);
     group.bench_function("stackmr_with_violation_report", |b| {
         b.iter(|| {
-            let run = StackMr::new(StackMrConfig::default().with_seed(3).with_job(bench_job()))
-                .run(&graph, &caps, &bench_flow());
+            let run = StackMr::new(StackMrConfig::default().with_seed(3)).run(
+                &graph,
+                &caps,
+                &bench_flow(),
+            );
             run.average_violation(&graph, &caps)
         })
     });
@@ -127,11 +122,7 @@ fn bench_anytime(c: &mut Criterion) {
     let (graph, caps) = bench_graph(2_000);
     group.bench_function("greedymr_value_trace", |b| {
         b.iter(|| {
-            let run = GreedyMr::new(GreedyMrConfig::default().with_job(bench_job())).run(
-                &graph,
-                &caps,
-                &bench_flow(),
-            );
+            let run = GreedyMr::new(GreedyMrConfig::default()).run(&graph, &caps, &bench_flow());
             run.rounds_to_reach_fraction(0.95)
         })
     });
@@ -167,13 +158,7 @@ fn bench_greedymr_worst_case(c: &mut Criterion) {
     for &length in &[32usize, 128] {
         let (graph, caps) = smr_datagen::pathological::increasing_weight_path(length);
         group.bench_with_input(BenchmarkId::new("path", length), &length, |b, _| {
-            b.iter(|| {
-                GreedyMr::new(GreedyMrConfig::default().with_job(bench_job())).run(
-                    &graph,
-                    &caps,
-                    &bench_flow(),
-                )
-            })
+            b.iter(|| GreedyMr::new(GreedyMrConfig::default()).run(&graph, &caps, &bench_flow()))
         });
     }
     group.finish();

@@ -88,17 +88,6 @@ impl ExperimentSet {
             .or_insert_with(|| DatasetInstance::generate(preset, job))
     }
 
-    fn greedy_config(&self) -> GreedyMrConfig {
-        GreedyMrConfig::default().with_job(self.job().with_name("greedy-mr"))
-    }
-
-    fn stack_config(&self, epsilon: f64) -> StackMrConfig {
-        StackMrConfig::default()
-            .with_epsilon(epsilon)
-            .with_seed(self.seed)
-            .with_job(self.job().with_name("stack-mr"))
-    }
-
     /// Runs one of the three MapReduce algorithms of the evaluation.
     pub fn run(
         &self,
@@ -108,14 +97,17 @@ impl ExperimentSet {
         epsilon: f64,
     ) -> MatchingRun {
         let config = smr_matching::runner::RunnerConfig {
-            greedy_mr: self.greedy_config(),
-            stack_mr: self.stack_config(epsilon),
+            greedy_mr: GreedyMrConfig::default(),
+            stack_mr: StackMrConfig::default()
+                .with_epsilon(epsilon)
+                .with_seed(self.seed),
         };
-        let job = match algorithm {
-            AlgorithmKind::GreedyMr => config.greedy_mr.job.clone(),
-            _ => config.stack_mr.job.clone(),
+        let name = match algorithm {
+            AlgorithmKind::GreedyMr => "greedy-mr",
+            _ => "stack-mr",
         };
-        smr_matching::run_algorithm(algorithm, graph, caps, &config, &FlowContext::new(job))
+        let flow = FlowContext::new(self.job().with_name(name));
+        smr_matching::run_algorithm(algorithm, graph, caps, &config, &flow)
     }
 }
 
@@ -461,11 +453,8 @@ pub fn shuffle_rows(set: &mut ExperimentSet) -> Vec<ShuffleAblationRow> {
         });
 
         let job = set.job().with_name("shuffle-ablation-greedy");
-        let run = GreedyMr::new(GreedyMrConfig::default().with_job(job.clone())).run(
-            &graph,
-            &caps,
-            &FlowContext::new(job),
-        );
+        let run =
+            GreedyMr::new(GreedyMrConfig::default()).run(&graph, &caps, &FlowContext::new(job));
         let rounds = run.rounds.max(1);
         let shuffle_total: Duration = run.job_metrics.iter().map(|m| m.timings.shuffle).sum();
         let wall_total: Duration = run.job_metrics.iter().map(|m| m.timings.total()).sum();
@@ -915,7 +904,7 @@ pub struct RoundsAblationRow {
     /// Sorted runs the engine spilled to disk and merged back.
     pub disk_runs: u64,
     /// Largest on-disk inter-round state the run held at any point — the
-    /// peak-resident proxy for what the in-memory round path would have
+    /// peak-resident proxy for what an in-memory round state would have
     /// kept in RAM between rounds.
     pub max_round_state_bytes: u64,
     /// Whether the final matching was byte-identical to the
@@ -956,13 +945,14 @@ pub fn rounds_rows(set: &mut ExperimentSet) -> Vec<RoundsAblationRow> {
                 .clone()
                 .with_name(format!("rounds-{}", algorithm.name()))
                 .with_memory_budget(budget);
-            let flow = FlowContext::new(job.clone());
+            let flow = FlowContext::new(job);
             match algorithm {
                 AlgorithmKind::GreedyMr => {
-                    GreedyMr::new(GreedyMrConfig::default().with_job(job)).run(&graph, &caps, &flow)
+                    GreedyMr::new(GreedyMrConfig::default()).run(&graph, &caps, &flow)
                 }
-                _ => StackMr::new(StackMrConfig::default().with_seed(seed).with_job(job))
-                    .run(&graph, &caps, &flow),
+                _ => {
+                    StackMr::new(StackMrConfig::default().with_seed(seed)).run(&graph, &caps, &flow)
+                }
             }
         };
         let reference = run_at(None);

@@ -532,20 +532,21 @@ fn pipeline_samples(scale: ExperimentScale) -> (Vec<LaneSample>, Vec<BipartiteGr
         // Task counts default to the thread count, and the engine's
         // determinism contract is per *task layout*: the same logical
         // tasks produce the same bytes whatever worker pool executes
-        // them.  Pin the layout so only threads and budget vary.
-        let started = Instant::now();
-        let candidate = MatchingPipeline::new(dataset.clone())
-            .tokenizer(TokenizerConfig::tags_only())
-            .sigma(sigma)
-            .job(
-                JobConfig::named(&name)
-                    .with_threads(threads)
-                    .with_map_tasks(8)
-                    .with_reduce_tasks(8),
-            )
-            .memory_budget(budget)
-            .build_graph();
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        // them.  Pin the layout so only threads and budget vary.  Each
+        // config keeps its best of `reps` runs, like the lanes.
+        let (wall_ms, candidate) = best_of(reps(scale), || {
+            MatchingPipeline::new(dataset.clone())
+                .tokenizer(TokenizerConfig::tags_only())
+                .sigma(sigma)
+                .job(
+                    JobConfig::named(&name)
+                        .with_threads(threads)
+                        .with_map_tasks(8)
+                        .with_reduce_tasks(8),
+                )
+                .memory_budget(budget)
+                .build_graph()
+        });
         samples.push(LaneSample {
             name,
             wall_ms,

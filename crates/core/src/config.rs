@@ -1,7 +1,6 @@
 //! Algorithm configuration.
 
 use serde::{Deserialize, Serialize};
-use smr_mapreduce::{JobConfig, RoundStateMode};
 
 /// How the marking stage of the maximal b-matching subroutine chooses the
 /// edges a node proposes to its neighbours (Section 6, "Variants").
@@ -17,68 +16,35 @@ pub enum MarkingStrategy {
     WeightProportional,
 }
 
-/// Configuration of [`crate::GreedyMr`].
+/// Configuration of [`crate::GreedyMr`]: the algorithm's own knobs only.
+/// Every engine setting (threads, task counts, memory budget, spill
+/// directory, job names) comes from the `FlowContext` the run is given.
 #[derive(Debug, Clone)]
 pub struct GreedyMrConfig {
-    /// MapReduce job configuration used for every round.
-    pub job: JobConfig,
     /// Safety bound on the number of rounds (the algorithm may need a
     /// number of rounds linear in `|E|` in the worst case).
     pub max_rounds: usize,
-    /// Where the surviving node records live between rounds: on disk in
-    /// the flow's side store (the default), or in RAM (the reference the
-    /// disk path is property-tested against).  Both modes produce
-    /// byte-identical matchings.
-    pub round_state: RoundStateMode,
 }
 
 impl Default for GreedyMrConfig {
     fn default() -> Self {
         GreedyMrConfig {
-            job: JobConfig::named("greedy-mr"),
             max_rounds: 100_000,
-            round_state: RoundStateMode::DiskBacked,
         }
     }
 }
 
 impl GreedyMrConfig {
-    /// Sets the MapReduce job configuration.
-    pub fn with_job(mut self, job: JobConfig) -> Self {
-        self.job = job;
-        self
-    }
-
-    /// Sets the engine memory budget every round runs under (`None` =
-    /// unlimited) — a passthrough to [`JobConfig::with_memory_budget`]
-    /// used by the `spill` bench experiment to A/B whole algorithm runs.
-    pub fn with_memory_budget(mut self, bytes: Option<u64>) -> Self {
-        self.job = self.job.with_memory_budget(bytes);
-        self
-    }
-
-    /// Sets the directory spilled runs are written under — a passthrough
-    /// to [`JobConfig::with_spill_dir`].
-    pub fn with_spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.job = self.job.with_spill_dir(dir);
-        self
-    }
-
     /// Sets the round budget.
     pub fn with_max_rounds(mut self, max_rounds: usize) -> Self {
         self.max_rounds = max_rounds;
         self
     }
-
-    /// Selects where the inter-round state lives (see
-    /// [`RoundStateMode`]).
-    pub fn with_round_state(mut self, mode: RoundStateMode) -> Self {
-        self.round_state = mode;
-        self
-    }
 }
 
-/// Configuration of [`crate::StackMr`].
+/// Configuration of [`crate::StackMr`]: the algorithm's own knobs only.
+/// Every engine setting comes from the `FlowContext` the run is given
+/// (see [`GreedyMrConfig`]).
 #[derive(Debug, Clone)]
 pub struct StackMrConfig {
     /// The slackness parameter ε: capacities may be violated by a factor of
@@ -91,18 +57,12 @@ pub struct StackMrConfig {
     /// Seed of the pseudo-random generator used by the randomized maximal
     /// b-matching subroutine; runs with equal seeds are reproducible.
     pub seed: u64,
-    /// MapReduce job configuration used for every job of every phase.
-    pub job: JobConfig,
     /// Safety bound on push rounds (the theoretical bound is
     /// `O(log³n/ε² · log(w_max/w_min))` w.h.p.).
     pub max_push_rounds: usize,
     /// Safety bound on the iterations of one maximal-matching computation
     /// (the expected number is `O(log³ n)`).
     pub max_maximal_iterations: usize,
-    /// Where the surviving records of the push rounds and the maximal
-    /// subroutine live between rounds (see
-    /// [`GreedyMrConfig::round_state`]).
-    pub round_state: RoundStateMode,
 }
 
 impl Default for StackMrConfig {
@@ -111,10 +71,8 @@ impl Default for StackMrConfig {
             epsilon: 1.0,
             marking: MarkingStrategy::Random,
             seed: 42,
-            job: JobConfig::named("stack-mr"),
             max_push_rounds: 10_000,
             max_maximal_iterations: 10_000,
-            round_state: RoundStateMode::DiskBacked,
         }
     }
 }
@@ -146,33 +104,6 @@ impl StackMrConfig {
     /// Sets the random seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the MapReduce job configuration.
-    pub fn with_job(mut self, job: JobConfig) -> Self {
-        self.job = job;
-        self
-    }
-
-    /// Sets the engine memory budget used by every job of every phase
-    /// (see [`GreedyMrConfig::with_memory_budget`]).
-    pub fn with_memory_budget(mut self, bytes: Option<u64>) -> Self {
-        self.job = self.job.with_memory_budget(bytes);
-        self
-    }
-
-    /// Sets the directory spilled runs are written under (see
-    /// [`GreedyMrConfig::with_spill_dir`]).
-    pub fn with_spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.job = self.job.with_spill_dir(dir);
-        self
-    }
-
-    /// Selects where the inter-round state lives (see
-    /// [`RoundStateMode`]).
-    pub fn with_round_state(mut self, mode: RoundStateMode) -> Self {
-        self.round_state = mode;
         self
     }
 
@@ -232,46 +163,7 @@ mod tests {
 
     #[test]
     fn greedy_config_builder() {
-        let c = GreedyMrConfig::default()
-            .with_max_rounds(5)
-            .with_job(JobConfig::named("x").with_threads(1));
+        let c = GreedyMrConfig::default().with_max_rounds(5);
         assert_eq!(c.max_rounds, 5);
-        assert_eq!(c.job.name, "x");
-    }
-
-    #[test]
-    fn round_state_defaults_to_disk_and_is_configurable() {
-        assert_eq!(
-            GreedyMrConfig::default().round_state,
-            RoundStateMode::DiskBacked
-        );
-        assert_eq!(
-            StackMrConfig::default().round_state,
-            RoundStateMode::DiskBacked
-        );
-        let g = GreedyMrConfig::default().with_round_state(RoundStateMode::InMemory);
-        assert_eq!(g.round_state, RoundStateMode::InMemory);
-        let s = StackMrConfig::default().with_round_state(RoundStateMode::InMemory);
-        assert_eq!(s.round_state, RoundStateMode::InMemory);
-    }
-
-    #[test]
-    fn memory_budget_passthrough_reaches_the_job_config() {
-        let greedy = GreedyMrConfig::default()
-            .with_memory_budget(Some(4096))
-            .with_spill_dir("/tmp/greedy-spills");
-        assert_eq!(greedy.job.memory_budget, Some(4096));
-        assert_eq!(
-            greedy.job.spill_dir,
-            Some(std::path::PathBuf::from("/tmp/greedy-spills"))
-        );
-        let stack = StackMrConfig::default()
-            .with_memory_budget(Some(4096))
-            .with_spill_dir("/tmp/stack-spills");
-        assert_eq!(stack.job.memory_budget, Some(4096));
-        assert_eq!(
-            stack.job.spill_dir,
-            Some(std::path::PathBuf::from("/tmp/stack-spills"))
-        );
     }
 }

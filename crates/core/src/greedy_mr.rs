@@ -24,8 +24,8 @@
 //! per-job metrics describe the same jobs, and the caller-provided flow
 //! of [`GreedyMr::run`] folds the rounds into a larger pipeline's
 //! [`smr_mapreduce::FlowReport`].  Between rounds the surviving node
-//! records live in a [`RoundState`] (disk-backed by default), so the
-//! run never retains the full candidate edge list in memory.
+//! records live in a disk-backed [`RoundState`], so the run never
+//! retains the full candidate edge list in memory.
 
 use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, Capacities, EdgeId, Matching, NodeId};
@@ -218,18 +218,17 @@ impl GreedyMr {
     /// surrounding pipeline ran.
     ///
     /// Between rounds the surviving node records live in a
-    /// [`RoundState`] — on disk in the flow's side store by default
-    /// ([`crate::GreedyMrConfig::round_state`]), with matched-out nodes
-    /// retired via tombstones instead of a rewritten survivor list — so
-    /// no stage of the run holds the full candidate edge list in memory.
+    /// [`RoundState`] — on disk in the flow's side store, with matched-out
+    /// nodes retired via tombstones instead of a rewritten survivor list —
+    /// so no stage of the run holds the full candidate edge list in
+    /// memory.
     pub fn run(
         &self,
         graph: &BipartiteGraph,
         caps: &Capacities,
         flow: &FlowContext,
     ) -> MatchingRun {
-        let mut state: RoundState<NodeId, GreedyRoundOutput> =
-            flow.round_state("greedy-rounds", self.config.round_state);
+        let mut state: RoundState<NodeId, GreedyRoundOutput> = flow.round_state("greedy-rounds");
         state.seed(
             build_node_records(graph, caps)
                 .into_iter()
@@ -272,8 +271,8 @@ impl GreedyMr {
 }
 
 /// The per-round state of a GreedyMR run, driven by [`IterativeDriver`].
-/// The records surviving between rounds live in `state` (disk-backed by
-/// default), not in this struct.
+/// The records surviving between rounds live in the disk-backed `state`,
+/// not in this struct.
 struct GreedyRounds<'a> {
     flow: &'a FlowContext,
     graph: &'a BipartiteGraph,
@@ -326,13 +325,16 @@ mod tests {
     use smr_mapreduce::JobConfig;
 
     fn config() -> GreedyMrConfig {
-        GreedyMrConfig::default().with_job(JobConfig::named("greedy-mr-test").with_threads(2))
+        GreedyMrConfig::default()
     }
 
-    /// Test helper: run under a throwaway flow built from the config's job.
+    fn job() -> JobConfig {
+        JobConfig::named("greedy-mr-test").with_threads(2)
+    }
+
+    /// Test helper: run under a throwaway flow.
     fn run(alg: GreedyMr, g: &BipartiteGraph, caps: &Capacities) -> MatchingRun {
-        let flow = FlowContext::new(alg.config.job.clone());
-        alg.run(g, caps, &flow)
+        alg.run(g, caps, &FlowContext::new(job()))
     }
 
     fn small_instance() -> (BipartiteGraph, Capacities) {
@@ -458,7 +460,7 @@ mod tests {
         let (g, caps) = small_instance();
         let baseline = run(GreedyMr::new(config()), &g, &caps);
 
-        let flow = FlowContext::new(JobConfig::named("greedy-mr-test").with_threads(2));
+        let flow = FlowContext::new(job());
         let run = GreedyMr::new(config()).run(&g, &caps, &flow);
 
         // Same result as the self-contained entry point…
@@ -481,11 +483,15 @@ mod tests {
     #[test]
     fn spilled_and_in_memory_runs_agree_on_the_matching() {
         let (g, caps) = small_instance();
-        let in_memory = run(GreedyMr::new(config().with_memory_budget(None)), &g, &caps);
-        let spilled = run(
-            GreedyMr::new(config().with_memory_budget(Some(256))),
+        let in_memory = GreedyMr::new(config()).run(
             &g,
             &caps,
+            &FlowContext::new(job().with_memory_budget(None)),
+        );
+        let spilled = GreedyMr::new(config()).run(
+            &g,
+            &caps,
+            &FlowContext::new(job().with_memory_budget(Some(256))),
         );
         assert_eq!(
             spilled.matching.to_edge_vec(),

@@ -29,7 +29,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use smr_graph::{EdgeId, NodeId};
 use smr_mapreduce::flow::FlowContext;
-use smr_mapreduce::{Emitter, JobConfig, JobMetrics, Mapper, Reducer, RoundState, RoundStateMode};
+use smr_mapreduce::{Emitter, JobMetrics, Mapper, Reducer, RoundState};
 use smr_storage::impl_codec_struct;
 
 use crate::config::MarkingStrategy;
@@ -139,7 +139,7 @@ pub struct MaximalResult {
     pub jobs: usize,
     /// Metrics of every job in order.
     pub job_metrics: Vec<JobMetrics>,
-    /// Largest on-disk inter-iteration state (zero in `InMemory` mode).
+    /// Largest on-disk inter-iteration state.
     pub max_round_state_bytes: u64,
 }
 
@@ -567,30 +567,25 @@ fn neighbour_flag_map(msgs: &[StageMsg], node: NodeId) -> HashMap<EdgeId, bool> 
 // ---------------------------------------------------------------------------
 
 /// Computes maximal b-matchings with the four-stage MapReduce algorithm.
+/// Every engine setting comes from the `FlowContext` passed to
+/// [`MaximalMatcher::compute`].
 #[derive(Debug, Clone)]
 pub struct MaximalMatcher {
     /// Edge-selection strategy of the marking stage.
     pub strategy: MarkingStrategy,
     /// Seed for the per-node pseudo-random generators.
     pub seed: u64,
-    /// MapReduce job configuration for every stage job.
-    pub job: JobConfig,
     /// Safety bound on the number of iterations.
     pub max_iterations: usize,
-    /// Where the working records live between Garrido iterations
-    /// (disk-backed in the flow's side store by default).
-    pub round_state: RoundStateMode,
 }
 
 impl MaximalMatcher {
     /// Creates a matcher.
-    pub fn new(strategy: MarkingStrategy, seed: u64, job: JobConfig) -> Self {
+    pub fn new(strategy: MarkingStrategy, seed: u64) -> Self {
         MaximalMatcher {
             strategy,
             seed,
-            job,
             max_iterations: 10_000,
-            round_state: RoundStateMode::default(),
         }
     }
 
@@ -599,8 +594,8 @@ impl MaximalMatcher {
     /// iteration's four stage jobs chained through `flow` — one lazy
     /// `Dataset` chain per iteration (mark → select → match → cleanup),
     /// records moving between the stages by value.  Between iterations
-    /// the working records live in a [`RoundState`] (disk-backed by
-    /// default), with finished nodes retired via tombstones.
+    /// the working records live in a disk-backed [`RoundState`], with
+    /// finished nodes retired via tombstones.
     /// `stage_prefix` namespaces the job names when the matcher runs
     /// inside a larger flow (StackMR passes `maximal-{push_round}`); an
     /// empty prefix names jobs `{flow}-mark-{i}` etc.
@@ -618,8 +613,7 @@ impl MaximalMatcher {
             }
         };
 
-        let mut state: RoundState<NodeId, CleanupOutput> =
-            flow.round_state("maximal-work", self.round_state);
+        let mut state: RoundState<NodeId, CleanupOutput> = flow.round_state("maximal-work");
         state.seed(
             records
                 .iter()
@@ -725,6 +719,7 @@ mod tests {
     use super::*;
     use crate::state::build_node_records;
     use smr_graph::{BipartiteGraph, Capacities, ConsumerId, Edge, ItemId, Matching};
+    use smr_mapreduce::JobConfig;
 
     fn grid_graph(items: usize, consumers: usize) -> BipartiteGraph {
         let mut edges = Vec::new();
@@ -766,17 +761,9 @@ mod tests {
         }
     }
 
-    fn matcher(strategy: MarkingStrategy, seed: u64) -> MaximalMatcher {
-        MaximalMatcher::new(
-            strategy,
-            seed,
-            JobConfig::named("maximal-test").with_threads(2),
-        )
-    }
-
-    /// Test helper: run under a throwaway flow built from the matcher's job.
+    /// Test helper: run under a throwaway flow.
     fn compute(m: &MaximalMatcher, records: &[(NodeId, NodeRecord)]) -> MaximalResult {
-        let flow = FlowContext::new(m.job.clone());
+        let flow = FlowContext::new(JobConfig::named("maximal-test").with_threads(2));
         m.compute(records, &flow, "")
     }
 
@@ -785,7 +772,7 @@ mod tests {
         let g = grid_graph(6, 6);
         let caps = Capacities::uniform(&g, 1, 1);
         let records = build_node_records(&g, &caps);
-        let result = compute(&matcher(MarkingStrategy::Random, 1), &records);
+        let result = compute(&MaximalMatcher::new(MarkingStrategy::Random, 1), &records);
         assert_maximal(&g, &caps, &result.edges);
         assert!(result.iterations >= 1);
         assert_eq!(result.jobs, result.iterations * 4);
@@ -796,7 +783,7 @@ mod tests {
         let g = grid_graph(5, 7);
         let caps = Capacities::uniform(&g, 3, 2);
         let records = build_node_records(&g, &caps);
-        let result = compute(&matcher(MarkingStrategy::Random, 7), &records);
+        let result = compute(&MaximalMatcher::new(MarkingStrategy::Random, 7), &records);
         assert_maximal(&g, &caps, &result.edges);
     }
 
@@ -805,7 +792,10 @@ mod tests {
         let g = grid_graph(6, 5);
         let caps = Capacities::uniform(&g, 2, 2);
         let records = build_node_records(&g, &caps);
-        let result = compute(&matcher(MarkingStrategy::HeaviestFirst, 3), &records);
+        let result = compute(
+            &MaximalMatcher::new(MarkingStrategy::HeaviestFirst, 3),
+            &records,
+        );
         assert_maximal(&g, &caps, &result.edges);
     }
 
@@ -814,7 +804,10 @@ mod tests {
         let g = grid_graph(4, 6);
         let caps = Capacities::uniform(&g, 2, 1);
         let records = build_node_records(&g, &caps);
-        let result = compute(&matcher(MarkingStrategy::WeightProportional, 11), &records);
+        let result = compute(
+            &MaximalMatcher::new(MarkingStrategy::WeightProportional, 11),
+            &records,
+        );
         assert_maximal(&g, &caps, &result.edges);
     }
 
@@ -823,11 +816,11 @@ mod tests {
         let g = grid_graph(6, 6);
         let caps = Capacities::uniform(&g, 2, 2);
         let records = build_node_records(&g, &caps);
-        let a = compute(&matcher(MarkingStrategy::Random, 99), &records);
-        let b = compute(&matcher(MarkingStrategy::Random, 99), &records);
+        let a = compute(&MaximalMatcher::new(MarkingStrategy::Random, 99), &records);
+        let b = compute(&MaximalMatcher::new(MarkingStrategy::Random, 99), &records);
         assert_eq!(a.edges, b.edges);
         assert_eq!(a.iterations, b.iterations);
-        let c = compute(&matcher(MarkingStrategy::Random, 100), &records);
+        let c = compute(&MaximalMatcher::new(MarkingStrategy::Random, 100), &records);
         // A different seed is allowed to (and almost surely does) produce a
         // different maximal matching, but both must be maximal.
         assert_maximal(&g, &caps, &c.edges);
@@ -835,7 +828,7 @@ mod tests {
 
     #[test]
     fn empty_input_terminates_immediately() {
-        let result = compute(&matcher(MarkingStrategy::Random, 0), &[]);
+        let result = compute(&MaximalMatcher::new(MarkingStrategy::Random, 0), &[]);
         assert!(result.edges.is_empty());
         assert_eq!(result.iterations, 0);
         assert_eq!(result.jobs, 0);

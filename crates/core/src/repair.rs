@@ -133,7 +133,7 @@ mod tests {
         let g = smr_datagen_free_grid();
         let caps = Capacities::uniform(&g, 2, 2);
         let job = JobConfig::named("repair-test").with_threads(1);
-        let run = StackMr::new(StackMrConfig::default().with_seed(23).with_job(job.clone())).run(
+        let run = StackMr::new(StackMrConfig::default().with_seed(23)).run(
             &g,
             &caps,
             &smr_mapreduce::FlowContext::new(job),

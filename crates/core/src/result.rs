@@ -63,9 +63,8 @@ pub struct MatchingRun {
     /// Metrics of every MapReduce job in execution order.
     pub job_metrics: Vec<JobMetrics>,
     /// Largest on-disk inter-round state the run held at any point, in
-    /// bytes — what the in-memory round path would have kept resident
-    /// between rounds.  Zero for centralized algorithms and for runs in
-    /// [`smr_mapreduce::RoundStateMode::InMemory`] mode.
+    /// bytes — what an in-memory round state would have kept resident
+    /// between rounds.  Zero for centralized algorithms.
     pub max_round_state_bytes: u64,
 }
 

@@ -98,29 +98,21 @@ mod tests {
         (g, caps)
     }
 
-    /// Test helper: run under a throwaway flow built from the algorithm's
-    /// own `JobConfig`.
+    /// Test helper: run under a throwaway single-threaded flow.
     fn run(
         algorithm: AlgorithmKind,
         g: &BipartiteGraph,
         caps: &Capacities,
         config: &RunnerConfig,
     ) -> MatchingRun {
-        let job = match algorithm {
-            AlgorithmKind::GreedyMr => config.greedy_mr.job.clone(),
-            _ => config.stack_mr.job.clone(),
-        };
-        let flow = FlowContext::new(job);
+        let flow = FlowContext::new(JobConfig::named("runner").with_threads(1));
         run_algorithm(algorithm, g, caps, config, &flow)
     }
 
     fn runner_config() -> RunnerConfig {
         RunnerConfig {
-            greedy_mr: GreedyMrConfig::default()
-                .with_job(JobConfig::named("runner-greedy").with_threads(1)),
-            stack_mr: StackMrConfig::default()
-                .with_seed(4)
-                .with_job(JobConfig::named("runner-stack").with_threads(1)),
+            greedy_mr: GreedyMrConfig::default(),
+            stack_mr: StackMrConfig::default().with_seed(4),
         }
     }
 

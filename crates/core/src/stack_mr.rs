@@ -381,10 +381,9 @@ impl StackMr {
     /// the flow's [`smr_mapreduce::FlowReport`].
     ///
     /// Between rounds the surviving node records live in [`RoundState`]s
-    /// — on disk in the flow's side store by default
-    /// ([`crate::StackMrConfig::round_state`]), with covered-out nodes
-    /// retired via tombstones — so no phase of the run holds the full
-    /// candidate edge list in memory between rounds.
+    /// — on disk in the flow's side store, with covered-out nodes retired
+    /// via tombstones — so no phase of the run holds the full candidate
+    /// edge list in memory between rounds.
     pub fn run(
         &self,
         graph: &BipartiteGraph,
@@ -403,8 +402,7 @@ impl StackMr {
         // ------------------------------------------------------------------
         // Push phase.
         // ------------------------------------------------------------------
-        let mut push_state: RoundState<NodeId, StackNodeRecord> =
-            flow.round_state("stack-push", self.config.round_state);
+        let mut push_state: RoundState<NodeId, StackNodeRecord> = flow.round_state("stack-push");
         push_state.seed(
             build_node_records(graph, caps)
                 .into_iter()
@@ -458,12 +456,7 @@ impl StackMr {
             let matcher = MaximalMatcher {
                 strategy: self.config.marking,
                 seed: self.config.seed.wrapping_add(push_round as u64),
-                // `job` only matters for the standalone in-memory path;
-                // under a shared flow every stage job takes its config
-                // (and name) from the FlowContext.
-                job: flow.config().clone(),
                 max_iterations: self.config.max_maximal_iterations,
-                round_state: self.config.round_state,
             };
             let maximal = matcher.compute(&matcher_input, flow, &format!("maximal-{push_round}"));
             max_round_state_bytes = max_round_state_bytes.max(maximal.max_round_state_bytes);
@@ -494,8 +487,7 @@ impl StackMr {
         // Pop phase: one job per layer, from the top of the stack.
         // ------------------------------------------------------------------
         let mut matching = Matching::new(graph.num_edges());
-        let mut pop_state: RoundState<NodeId, PopOutput> =
-            flow.round_state("stack-pop", self.config.round_state);
+        let mut pop_state: RoundState<NodeId, PopOutput> = flow.round_state("stack-pop");
         pop_state.seed(
             build_node_records(graph, caps)
                 .into_iter()
@@ -567,15 +559,16 @@ mod tests {
     use smr_mapreduce::JobConfig;
 
     fn test_config(seed: u64) -> StackMrConfig {
-        StackMrConfig::default()
-            .with_seed(seed)
-            .with_job(JobConfig::named("stack-mr-test").with_threads(2))
+        StackMrConfig::default().with_seed(seed)
     }
 
-    /// Test helper: run under a throwaway flow built from the config's job.
+    fn job() -> JobConfig {
+        JobConfig::named("stack-mr-test").with_threads(2)
+    }
+
+    /// Test helper: run under a throwaway flow.
     fn run(alg: StackMr, g: &BipartiteGraph, caps: &Capacities) -> MatchingRun {
-        let flow = FlowContext::new(alg.config.job.clone());
-        alg.run(g, caps, &flow)
+        alg.run(g, caps, &FlowContext::new(job()))
     }
 
     fn random_graph(items: usize, consumers: usize, keep_mod: usize) -> BipartiteGraph {
@@ -652,7 +645,7 @@ mod tests {
         let caps = Capacities::uniform(&g, 2, 2);
         let baseline = run(StackMr::new(test_config(17)), &g, &caps);
 
-        let flow = FlowContext::new(JobConfig::named("stack-mr-test").with_threads(2));
+        let flow = FlowContext::new(job());
         let run = StackMr::new(test_config(17)).run(&g, &caps, &flow);
 
         assert_eq!(run.matching.to_edge_vec(), baseline.matching.to_edge_vec());
@@ -674,15 +667,15 @@ mod tests {
     fn spilled_and_in_memory_runs_agree_on_the_matching() {
         let g = random_graph(6, 7, 3);
         let caps = Capacities::uniform(&g, 2, 2);
-        let in_memory = run(
-            StackMr::new(test_config(21).with_memory_budget(None)),
+        let in_memory = StackMr::new(test_config(21)).run(
             &g,
             &caps,
+            &FlowContext::new(job().with_memory_budget(None)),
         );
-        let spilled = run(
-            StackMr::new(test_config(21).with_memory_budget(Some(256))),
+        let spilled = StackMr::new(test_config(21)).run(
             &g,
             &caps,
+            &FlowContext::new(job().with_memory_budget(Some(256))),
         );
         assert_eq!(
             spilled.matching.to_edge_vec(),

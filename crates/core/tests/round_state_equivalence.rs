@@ -1,19 +1,18 @@
 //! Property tests locking the out-of-core matching rounds byte-identical
-//! to the in-memory round path.
+//! across engine configurations.
 //!
-//! The tentpole invariant of the disk-backed round state: for any
-//! instance, any engine memory budget (unlimited, 4 KiB, or a pathological
-//! 64 B that spills every run) and any thread count, GreedyMR and StackMR
-//! produce exactly the same matching, the same round count, the same
-//! any-time value trace and the same shuffle volume whether the
-//! inter-round state lives on disk (`RoundStateMode::DiskBacked`, the
-//! default) or in memory (`RoundStateMode::InMemory`, the historical
-//! behaviour).
+//! The invariant of the disk-backed round state: for any instance, any
+//! engine memory budget (unlimited, 4 KiB, or a pathological 64 B that
+//! spills every run) and any thread count, GreedyMR and StackMR produce
+//! exactly the same matching, the same round count, the same any-time
+//! value trace and the same shuffle volume as the unbudgeted
+//! single-threaded run.  The `RoundState` contract itself is locked
+//! against a `Vec` model in `smr_mapreduce`'s `round_state_props`.
 
 use proptest::prelude::*;
 
 use smr_graph::{BipartiteGraph, Capacities, ConsumerId, Edge, ItemId};
-use smr_mapreduce::{FlowContext, JobConfig, RoundStateMode};
+use smr_mapreduce::{FlowContext, JobConfig};
 use smr_matching::{GreedyMr, GreedyMrConfig, MatchingRun, StackMr, StackMrConfig};
 
 /// A random small b-matching instance: a bipartite graph with up to
@@ -52,7 +51,8 @@ fn instance_strategy() -> impl Strategy<Value = (BipartiteGraph, Capacities)> {
 
 /// The budget × thread grid every equivalence case sweeps: unlimited,
 /// a realistic 4 KiB and a pathological 64 B budget, single-threaded and
-/// heavily parallel.
+/// heavily parallel.  The first cell (unbudgeted, one thread) is the
+/// reference every cell is compared against.
 fn configs() -> Vec<(Option<u64>, usize)> {
     let mut grid = Vec::new();
     for budget in [None, Some(4 * 1024), Some(64)] {
@@ -69,79 +69,67 @@ fn job(name: &str, budget: Option<u64>, threads: usize) -> JobConfig {
         .with_memory_budget(budget)
 }
 
-fn assert_equivalent(disk: &MatchingRun, memory: &MatchingRun, context: &str) {
+fn assert_equivalent(run: &MatchingRun, reference: &MatchingRun, context: &str) {
     assert_eq!(
-        disk.matching.to_edge_vec(),
-        memory.matching.to_edge_vec(),
+        run.matching.to_edge_vec(),
+        reference.matching.to_edge_vec(),
         "{context}: matchings diverged"
     );
-    assert_eq!(disk.rounds, memory.rounds, "{context}: rounds diverged");
+    assert_eq!(run.rounds, reference.rounds, "{context}: rounds diverged");
     assert_eq!(
-        disk.mr_jobs, memory.mr_jobs,
+        run.mr_jobs, reference.mr_jobs,
         "{context}: job counts diverged"
     );
     assert_eq!(
-        disk.value_per_round, memory.value_per_round,
+        run.value_per_round, reference.value_per_round,
         "{context}: any-time traces diverged"
     );
     assert_eq!(
-        disk.total_shuffled_records(),
-        memory.total_shuffled_records(),
+        run.total_shuffled_records(),
+        reference.total_shuffled_records(),
         "{context}: shuffle volumes diverged"
     );
-    // Only the disk-backed run reports a round-state footprint.
-    assert!(disk.max_round_state_bytes > 0, "{context}: no round state");
-    assert_eq!(memory.max_round_state_bytes, 0, "{context}");
+    assert!(run.max_round_state_bytes > 0, "{context}: no round state");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn greedy_mr_disk_rounds_match_in_memory_rounds_at_any_budget(
+    fn greedy_mr_rounds_are_identical_at_any_budget_and_thread_count(
         (graph, caps) in instance_strategy()
     ) {
-        for (budget, threads) in configs() {
-            let run_with = |mode: RoundStateMode| {
-                let job = job("greedy-equiv", budget, threads);
-                GreedyMr::new(
-                    GreedyMrConfig::default()
-                        .with_job(job.clone())
-                        .with_round_state(mode),
-                )
-                .run(&graph, &caps, &FlowContext::new(job))
-            };
-            let disk = run_with(RoundStateMode::DiskBacked);
-            let memory = run_with(RoundStateMode::InMemory);
+        let run_with = |budget: Option<u64>, threads: usize| {
+            let job = job("greedy-equiv", budget, threads);
+            GreedyMr::new(GreedyMrConfig::default()).run(&graph, &caps, &FlowContext::new(job))
+        };
+        let grid = configs();
+        let reference = run_with(grid[0].0, grid[0].1);
+        for (budget, threads) in grid {
             assert_equivalent(
-                &disk,
-                &memory,
+                &run_with(budget, threads),
+                &reference,
                 &format!("GreedyMR budget={budget:?} threads={threads}"),
             );
         }
     }
 
     #[test]
-    fn stack_mr_disk_rounds_match_in_memory_rounds_at_any_budget(
+    fn stack_mr_rounds_are_identical_at_any_budget_and_thread_count(
         (graph, caps) in instance_strategy(),
         seed in 0u64..1000
     ) {
-        for (budget, threads) in configs() {
-            let run_with = |mode: RoundStateMode| {
-                let job = job("stack-equiv", budget, threads);
-                StackMr::new(
-                    StackMrConfig::default()
-                        .with_seed(seed)
-                        .with_job(job.clone())
-                        .with_round_state(mode),
-                )
+        let run_with = |budget: Option<u64>, threads: usize| {
+            let job = job("stack-equiv", budget, threads);
+            StackMr::new(StackMrConfig::default().with_seed(seed))
                 .run(&graph, &caps, &FlowContext::new(job))
-            };
-            let disk = run_with(RoundStateMode::DiskBacked);
-            let memory = run_with(RoundStateMode::InMemory);
+        };
+        let grid = configs();
+        let reference = run_with(grid[0].0, grid[0].1);
+        for (budget, threads) in grid {
             assert_equivalent(
-                &disk,
-                &memory,
+                &run_with(budget, threads),
+                &reference,
                 &format!("StackMR budget={budget:?} threads={threads}"),
             );
         }

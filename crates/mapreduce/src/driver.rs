@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn driver_runs_a_disk_backed_round_state_job_out_of_core() {
         use crate::config::JobConfig;
-        use crate::flow::{FlowContext, RoundState, RoundStateMode};
+        use crate::flow::{FlowContext, RoundState};
 
         // An iterative job whose only inter-round state is a disk-backed
         // RoundState: counters drain by one per round and retire at zero.
@@ -236,7 +236,7 @@ mod tests {
         }
 
         let flow = FlowContext::new(JobConfig::named("driver-rs"));
-        let mut state = flow.round_state("drain", RoundStateMode::DiskBacked);
+        let mut state = flow.round_state("drain");
         state.seed(vec![(1u32, 2u64), (2, 4), (3, 1)]);
         let mut job = Drain {
             state,

@@ -6,12 +6,15 @@
 //! adds the plan-builder API that callers chain jobs with:
 //!
 //! * [`FlowContext`] — shared execution state: the [`JobConfig`] every job
-//!   of the chain runs under, the [`KvStore`] HDFS stand-in for persisted
-//!   datasets, and the accumulated [`JobMetrics`] of every job the flow has
-//!   executed ([`FlowContext::report`] snapshots them as a [`FlowReport`]).
+//!   of the chain runs under, the side store jobs park derived data in
+//!   ([`FlowContext::side_store`]), and the accumulated [`JobMetrics`] of
+//!   every job the flow has executed ([`FlowContext::report`] snapshots
+//!   them as a [`FlowReport`]).
 //! * [`Dataset<K, V>`] — a *deferred* computation producing `(K, V)`
-//!   records.  Nothing runs until a terminal ([`Dataset::collect`] or
-//!   [`Dataset::persist`]) is invoked; combinators only extend the plan.
+//!   records.  Nothing runs until the terminal [`Dataset::collect`] is
+//!   invoked; combinators only extend the plan.
+//! * [`RoundState`] — the records an iterative chain carries from one
+//!   round to the next, kept in run files in the side store.
 //! * [`JobStage`] — a job under construction: [`Dataset::map_with`] fixes
 //!   the mapper, [`JobStage::combined_with`] / [`JobStage::partitioned_by`]
 //!   optionally fix the combiner and partitioner, and
@@ -66,10 +69,8 @@
 //! assert_eq!(flow.report().num_jobs(), 1);
 //! ```
 
-use std::any::Any;
 use std::collections::HashSet;
 use std::marker::PhantomData;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -81,7 +82,6 @@ use crate::counters::Counters;
 use crate::executor::Job;
 use crate::metrics::JobMetrics;
 use crate::partition::{HashPartitioner, Partitioner};
-use crate::store::KvStore;
 use crate::types::{Combiner, IdentityCombiner, Key, Mapper, Reducer, Value};
 
 /// The records a dataset materializes to.
@@ -90,67 +90,6 @@ pub type Records<K, V> = Vec<(K, V)>;
 /// The deferred computation behind a [`Dataset`].
 type SourceThunk<K, V> = Box<dyn FnOnce(&FlowContext) -> Records<K, V>>;
 
-/// A type-erased persisted dataset inside the in-memory flow store,
-/// alongside the `type_name` of its `Records<K, V>` (for typed mismatch
-/// errors).
-type StoredDataset = (Arc<dyn Any + Send + Sync>, &'static str);
-
-/// A typed error raised by the flow's persistence layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FlowError {
-    /// Nothing was persisted at the path.
-    MissingDataset {
-        /// The requested path.
-        path: String,
-    },
-    /// The dataset at the path was persisted with a different record type.
-    TypeMismatch {
-        /// The requested path.
-        path: String,
-        /// Record type the dataset was persisted with.
-        stored: String,
-        /// Record type the caller requested.
-        requested: String,
-    },
-    /// The storage backend failed (I/O error, corrupt file, …).
-    Storage {
-        /// The requested path.
-        path: String,
-        /// The backend's error message.
-        message: String,
-    },
-}
-
-impl std::fmt::Display for FlowError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FlowError::MissingDataset { path } => write!(f, "no dataset persisted at `{path}`"),
-            FlowError::TypeMismatch {
-                path,
-                stored,
-                requested,
-            } => write!(
-                f,
-                "dataset at `{path}` holds `{stored}`, requested `{requested}`"
-            ),
-            FlowError::Storage { path, message } => {
-                write!(f, "storage error at `{path}`: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FlowError {}
-
-/// Where a flow persists its datasets: the in-memory [`KvStore`] (the
-/// default), or a file-backed [`DatasetStore`] so chained jobs stream
-/// between stages without holding every persisted dataset in RAM.
-#[derive(Debug)]
-enum FlowStore {
-    Memory(KvStore<StoredDataset>),
-    Disk(DatasetStore),
-}
-
 /// Summary of every job a flow has executed so far, in execution order.
 #[derive(Debug, Clone, Default)]
 pub struct FlowReport {
@@ -158,12 +97,6 @@ pub struct FlowReport {
     pub jobs: Vec<JobMetrics>,
     /// Accumulated totals over all jobs.
     pub totals: JobMetrics,
-    /// Persistence errors the flow swallowed to keep a pipeline running
-    /// (e.g. [`FlowContext::load`] of a handle whose path has since been
-    /// rewritten with a different record type, or a storage failure while
-    /// reading a persisted dataset back).  A healthy run has none;
-    /// anything here is a pipeline bug surfacing.
-    pub errors: Vec<FlowError>,
     /// Job indices at which iterative rounds started (recorded by
     /// [`FlowContext::mark_round`]), in order.  Empty for non-iterative
     /// flows.
@@ -171,7 +104,7 @@ pub struct FlowReport {
 }
 
 impl FlowReport {
-    fn new(jobs: Vec<JobMetrics>, errors: Vec<FlowError>, round_starts: Vec<usize>) -> Self {
+    fn new(jobs: Vec<JobMetrics>, round_starts: Vec<usize>) -> Self {
         let mut totals = JobMetrics {
             job_name: "totals".to_string(),
             ..JobMetrics::default()
@@ -182,7 +115,6 @@ impl FlowReport {
         FlowReport {
             jobs,
             totals,
-            errors,
             round_starts,
         }
     }
@@ -251,8 +183,6 @@ impl FlowReport {
 struct FlowInner {
     config: JobConfig,
     jobs: Mutex<Vec<JobMetrics>>,
-    store: FlowStore,
-    errors: Mutex<Vec<FlowError>>,
     anonymous_jobs: AtomicUsize,
     /// Job indices at which iterative rounds started.
     round_starts: Mutex<Vec<usize>>,
@@ -271,7 +201,7 @@ impl Drop for FlowInner {
 }
 
 /// Shared state of a job chain: the [`JobConfig`] every job runs under,
-/// the [`KvStore`] standing in for the distributed file system, and the
+/// the side store standing in for the distributed file system, and the
 /// accumulated metrics of every executed job.
 ///
 /// Cloning a `FlowContext` is cheap and every clone shares the same state,
@@ -288,42 +218,18 @@ impl std::fmt::Debug for FlowContext {
         f.debug_struct("FlowContext")
             .field("config", &self.inner.config)
             .field("jobs", &self.inner.jobs.lock().len())
-            .field("persisted", &self.persisted_paths())
             .finish()
     }
 }
 
 impl FlowContext {
-    /// Creates a flow whose jobs all run under `config`, persisting
-    /// datasets in memory.  The config's `name` prefixes every job name of
-    /// the chain.
+    /// Creates a flow whose jobs all run under `config`.  The config's
+    /// `name` prefixes every job name of the chain.
     pub fn new(config: JobConfig) -> Self {
-        FlowContext::with_store(config, FlowStore::Memory(KvStore::new()))
-    }
-
-    /// Creates a flow whose persisted datasets live in a file-backed store
-    /// rooted at `dir` (created if missing): `persist` writes encoded
-    /// records to disk and `load` streams them back, so chained jobs
-    /// (similarity join → matching rounds) keep only the stage in flight
-    /// in RAM.  Datasets already present under `dir` (e.g. from an earlier
-    /// run) are visible to `load`.
-    pub fn with_disk_store(
-        config: JobConfig,
-        dir: impl Into<PathBuf>,
-    ) -> Result<Self, StorageError> {
-        Ok(FlowContext::with_store(
-            config,
-            FlowStore::Disk(DatasetStore::open(dir)?),
-        ))
-    }
-
-    fn with_store(config: JobConfig, store: FlowStore) -> Self {
         FlowContext {
             inner: Arc::new(FlowInner {
                 config,
                 jobs: Mutex::new(Vec::new()),
-                store,
-                errors: Mutex::new(Vec::new()),
                 anonymous_jobs: AtomicUsize::new(0),
                 round_starts: Mutex::new(Vec::new()),
                 side: Mutex::new(None),
@@ -365,12 +271,10 @@ impl FlowContext {
         self.inner.round_starts.lock().push(jobs);
     }
 
-    /// Snapshot of every executed job plus accumulated totals and any
-    /// swallowed persistence errors.
+    /// Snapshot of every executed job plus accumulated totals.
     pub fn report(&self) -> FlowReport {
         FlowReport::new(
             self.inner.jobs.lock().clone(),
-            self.inner.errors.lock().clone(),
             self.inner.round_starts.lock().clone(),
         )
     }
@@ -384,73 +288,6 @@ impl FlowContext {
         }
     }
 
-    /// Creates a dataset that lazily reads the records behind a typed
-    /// [`PersistedDataset`] handle (see [`Dataset::persist`]).  The handle
-    /// carries the record type the dataset was persisted with, so a
-    /// mistyped load is a compile error, not a runtime
-    /// [`FlowError::TypeMismatch`] — that error remains reachable only
-    /// when the path behind a handle is later rewritten at a different
-    /// type, in which case the load materializes empty and the error is
-    /// recorded in [`FlowReport::errors`].  A handle whose backing dataset
-    /// has been removed from the store reads as empty, mirroring a missing
-    /// path.
-    pub fn load<K: Key, V: Value>(&self, persisted: &PersistedDataset<K, V>) -> Dataset<K, V> {
-        let path = persisted.path().to_string();
-        Dataset {
-            ctx: self.clone(),
-            thunk: Box::new(move |ctx| match ctx.read_persisted(&path) {
-                Ok(records) => records,
-                Err(FlowError::MissingDataset { .. }) => Vec::new(),
-                Err(error) => {
-                    eprintln!("flow `{}`: load failed: {error}", ctx.inner.config.name);
-                    ctx.inner.errors.lock().push(error);
-                    Vec::new()
-                }
-            }),
-        }
-    }
-
-    /// Reads a persisted dataset back out of the flow's store, with typed
-    /// errors for missing paths, record-type mismatches and storage
-    /// failures.
-    pub fn read_persisted<K: Key, V: Value>(&self, path: &str) -> Result<Records<K, V>, FlowError> {
-        match &self.inner.store {
-            FlowStore::Memory(store) => {
-                let stored = store.read(path);
-                let Some((any, stored_type)) = stored.first().cloned() else {
-                    return Err(FlowError::MissingDataset {
-                        path: path.to_string(),
-                    });
-                };
-                match any.downcast::<Records<K, V>>() {
-                    Ok(records) => Ok(records.as_ref().clone()),
-                    Err(_) => Err(FlowError::TypeMismatch {
-                        path: path.to_string(),
-                        stored: stored_type.to_string(),
-                        requested: std::any::type_name::<Records<K, V>>().to_string(),
-                    }),
-                }
-            }
-            FlowStore::Disk(store) => match store.read::<(K, V)>(path) {
-                Ok(records) => Ok(records),
-                Err(StorageError::Missing { name }) => {
-                    Err(FlowError::MissingDataset { path: name })
-                }
-                Err(StorageError::TypeMismatch { stored, requested }) => {
-                    Err(FlowError::TypeMismatch {
-                        path: path.to_string(),
-                        stored,
-                        requested,
-                    })
-                }
-                Err(other) => Err(FlowError::Storage {
-                    path: path.to_string(),
-                    message: other.to_string(),
-                }),
-            },
-        }
-    }
-
     /// The flow's *side-data* store: a disk-backed [`DatasetStore`] for
     /// data that jobs ship around outside the shuffle — the Hadoop
     /// distributed-cache role.  A job chain parks derived artifacts here
@@ -458,29 +295,24 @@ impl FlowContext {
     /// chunks) and later stages open them on demand instead of holding
     /// them in memory for the whole chain.
     ///
-    /// The store is created lazily on first use — under the disk store's
-    /// root for [`FlowContext::with_disk_store`] flows, under the system
-    /// temp directory otherwise — is shared by every clone of the context,
-    /// and is deleted when the flow drops: side data is transient, unlike
-    /// [`Dataset::persist`] outputs.
+    /// The store is created lazily on first use under the system temp
+    /// directory, is shared by every clone of the context, and is deleted
+    /// when the flow drops: side data is transient.
     ///
     /// # Panics
     /// Panics when the store directory cannot be created (an environment
-    /// failure, like a failed persist).
+    /// failure).
     pub fn side_store(&self) -> DatasetStore {
         static SIDE_SEQ: AtomicUsize = AtomicUsize::new(0);
         let mut guard = self.inner.side.lock();
         if let Some(store) = guard.as_ref() {
             return store.clone();
         }
-        let dir = match &self.inner.store {
-            FlowStore::Disk(store) => store.root().join("_side"),
-            FlowStore::Memory(_) => std::env::temp_dir().join(format!(
-                "smr-flow-side-{}-{}",
-                std::process::id(),
-                SIDE_SEQ.fetch_add(1, Ordering::Relaxed)
-            )),
-        };
+        let dir = std::env::temp_dir().join(format!(
+            "smr-flow-side-{}-{}",
+            std::process::id(),
+            SIDE_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         let store = DatasetStore::open(&dir)
             .unwrap_or_else(|e| panic!("failed to open flow side store at {dir:?}: {e}"));
         *guard = Some(store.clone());
@@ -489,17 +321,10 @@ impl FlowContext {
 
     /// Creates a [`RoundState`] for an iterative computation driven
     /// through this flow: the record set that survives from one round to
-    /// the next.  In [`RoundStateMode::DiskBacked`] mode (the default of
-    /// the matching algorithms) the records live in the flow's
+    /// the next.  The records live in the flow's
     /// [`FlowContext::side_store`] as run files between rounds, with
-    /// retired records dropped by a tombstone-aware reader at load time;
-    /// [`RoundStateMode::InMemory`] keeps the reference `Vec` semantics.
-    /// Both modes yield byte-identical round inputs.
-    pub fn round_state<K: Key, V: Value>(
-        &self,
-        name: impl Into<String>,
-        mode: RoundStateMode,
-    ) -> RoundState<K, V> {
+    /// retired records dropped by a tombstone-aware reader at load time.
+    pub fn round_state<K: Key, V: Value>(&self, name: impl Into<String>) -> RoundState<K, V> {
         static ROUND_STATE_SEQ: AtomicUsize = AtomicUsize::new(0);
         let seq = ROUND_STATE_SEQ.fetch_add(1, Ordering::Relaxed);
         RoundState {
@@ -507,43 +332,12 @@ impl FlowContext {
             name: format!("rs{seq}-{}", name.into()),
             round: 0,
             max_state_bytes: 0,
-            slot: match mode {
-                RoundStateMode::InMemory => RoundSlot::Memory(Vec::new()),
-                RoundStateMode::DiskBacked => RoundSlot::Disk {
-                    file: None,
-                    live: 0,
-                    tombstones: Arc::new(HashSet::new()),
-                    handle: None,
-                },
-            },
+            file: None,
+            live: 0,
+            tombstones: Arc::new(HashSet::new()),
+            handle: None,
+            _records: PhantomData,
         }
-    }
-
-    /// The paths of every persisted dataset, sorted.
-    pub fn persisted_paths(&self) -> Vec<String> {
-        match &self.inner.store {
-            FlowStore::Memory(store) => store.paths(),
-            FlowStore::Disk(store) => store.paths(),
-        }
-    }
-
-    fn persist_records<K: Key, V: Value>(&self, path: &str, records: Records<K, V>) -> usize {
-        let count = records.len();
-        match &self.inner.store {
-            FlowStore::Memory(store) => {
-                let tagged: StoredDataset =
-                    (Arc::new(records), std::any::type_name::<Records<K, V>>());
-                store.write(path, vec![tagged]);
-            }
-            FlowStore::Disk(store) => {
-                // A failed persist is an environment failure (disk full,
-                // permissions), not a recoverable pipeline state.
-                store
-                    .write(path, &records)
-                    .unwrap_or_else(|e| panic!("failed to persist `{path}`: {e}"));
-            }
-        }
-        count
     }
 
     fn record_job(&self, metrics: JobMetrics) {
@@ -563,56 +357,10 @@ impl FlowContext {
     }
 }
 
-/// A typed handle to a dataset persisted in a flow's store, returned by
-/// [`Dataset::persist`] and accepted by [`FlowContext::load`].
-///
-/// The handle remembers the record type `(K, V)` the dataset was written
-/// with, so loading it back cannot mismatch types — the runtime
-/// type-mismatch error of the removed stringly-typed path accessors is
-/// unrepresentable through this API.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PersistedDataset<K, V> {
-    path: String,
-    records: usize,
-    _marker: PhantomData<fn() -> (K, V)>,
-}
-
-impl<K: Key, V: Value> PersistedDataset<K, V> {
-    /// The path the dataset is persisted under.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    /// Number of records persisted.
-    pub fn len(&self) -> usize {
-        self.records
-    }
-
-    /// Whether the persisted dataset is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records == 0
-    }
-}
-
-/// Where the surviving records of an iterative computation live between
-/// rounds (see [`FlowContext::round_state`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoundStateMode {
-    /// Survivors stay in a `Vec` in RAM between rounds — the reference
-    /// semantics the disk-backed mode is locked against.
-    InMemory,
-    /// Round outputs are written to run files in the flow's side store and
-    /// streamed back as the next round's input; retired records are
-    /// tombstoned and skipped at read time instead of being rewritten.
-    /// No round's full record set is retained in RAM between rounds.
-    #[default]
-    DiskBacked,
-}
-
 /// The inter-round state of an iterative job chain: the `(K, V)` records
 /// that survive from one round to the next.
 ///
-/// The contract both storage modes satisfy identically:
+/// The contract:
 ///
 /// * [`RoundState::seed`] installs the round-0 records;
 /// * [`RoundState::dataset_with`] exposes the current live records — in
@@ -621,36 +369,32 @@ pub enum RoundStateMode {
 ///   unique, as reducer outputs keyed by node are), calls `keep` on every
 ///   record *in output order*, and retires the records `keep` rejects.
 ///
-/// In [`RoundStateMode::DiskBacked`] mode the absorbed output is written
-/// to a run file in the flow's [`FlowContext::side_store`] exactly as the
-/// round emitted it; retirement is applied by a tombstone-aware
-/// [`smr_storage::RunReader`] while streaming the file back, so the
-/// survivor list is never rewritten wholesale.  Round files are removed as
-/// soon as they are superseded (and on drop).
+/// The absorbed output is written to a run file in the flow's
+/// [`FlowContext::side_store`] exactly as the round emitted it; retirement
+/// is applied by a tombstone-aware [`smr_storage::RunReader`] while
+/// streaming the file back, so the survivor list is never rewritten
+/// wholesale and no round's full record set is retained in RAM between
+/// rounds.  Round files are removed as soon as they are superseded (and
+/// on drop).
 pub struct RoundState<K: Key, V: Value> {
     ctx: FlowContext,
     name: String,
     round: usize,
     max_state_bytes: u64,
-    slot: RoundSlot<K, V>,
-}
-
-enum RoundSlot<K, V> {
-    Memory(Records<K, V>),
-    Disk {
-        /// Side-store dataset holding the latest absorbed round output
-        /// (`None` before seeding).
-        file: Option<String>,
-        /// Records in the file minus tombstoned ones.
-        live: usize,
-        /// Keys retired from the current file.
-        tombstones: Arc<HashSet<K>>,
-        /// The round file's descriptor, kept open from the moment the file
-        /// is installed: re-reads dup it (`try_clone`) instead of paying a
-        /// path open per round.  `None` when the open failed (the reader
-        /// falls back to opening by name) or before seeding.
-        handle: Option<Arc<std::fs::File>>,
-    },
+    /// Side-store dataset holding the latest absorbed round output
+    /// (`None` before seeding).
+    file: Option<String>,
+    /// Records in the file minus tombstoned ones.
+    live: usize,
+    /// Keys retired from the current file.
+    tombstones: Arc<HashSet<K>>,
+    /// The round file's descriptor, kept open from the moment the file
+    /// is installed: re-reads dup it (`try_clone`) instead of paying a
+    /// path open per round.  `None` when the open failed (the reader
+    /// falls back to opening by name) or before seeding.
+    handle: Option<Arc<std::fs::File>>,
+    /// The file's records are `(K, V)`.
+    _records: PhantomData<fn() -> V>,
 }
 
 impl<K: Key, V: Value> std::fmt::Debug for RoundState<K, V> {
@@ -666,23 +410,15 @@ impl<K: Key, V: Value> std::fmt::Debug for RoundState<K, V> {
 impl<K: Key, V: Value> RoundState<K, V> {
     /// Installs the round-0 records, replacing any current state.
     pub fn seed(&mut self, records: Records<K, V>) {
-        match &mut self.slot {
-            RoundSlot::Memory(current) => *current = records,
-            RoundSlot::Disk { .. } => {
-                let file = self.file_name(self.round);
-                let live = records.len();
-                self.write_round_file(&file, &records);
-                self.replace_disk_slot(Some(file), live, HashSet::new());
-            }
-        }
+        let file = self.file_name(self.round);
+        let live = records.len();
+        self.write_round_file(&file, &records);
+        self.replace_file(Some(file), live, HashSet::new());
     }
 
     /// Number of live (non-retired) records.
     pub fn len(&self) -> usize {
-        match &self.slot {
-            RoundSlot::Memory(records) => records.len(),
-            RoundSlot::Disk { live, .. } => *live,
-        }
+        self.live
     }
 
     /// Whether no live records remain — the usual convergence signal.
@@ -695,9 +431,8 @@ impl<K: Key, V: Value> RoundState<K, V> {
         self.round
     }
 
-    /// Largest on-disk round file this state has held, in bytes — what the
-    /// in-memory path would have kept resident between rounds.  Zero in
-    /// [`RoundStateMode::InMemory`] mode.
+    /// Largest on-disk round file this state has held, in bytes — what an
+    /// in-memory state would have kept resident between rounds.
     pub fn max_state_bytes(&self) -> u64 {
         self.max_state_bytes
     }
@@ -705,81 +440,65 @@ impl<K: Key, V: Value> RoundState<K, V> {
     /// The current live records as a lazy [`Dataset`] source, projected
     /// through `proj` record by record (e.g. unwrapping a round-output
     /// envelope into the next round's mapper input).  Live records arrive
-    /// in their original output order; in disk-backed mode they are
-    /// streamed from the round file with retirees skipped, never
-    /// materializing the raw file contents as a whole.
+    /// in their original output order, streamed from the round file with
+    /// retirees skipped, never materializing the raw file contents as a
+    /// whole.
     pub fn dataset_with<K2, V2, F>(&self, proj: F) -> Dataset<K2, V2>
     where
         K2: Key,
         V2: Value,
         F: Fn(K, V) -> (K2, V2) + 'static,
     {
-        match &self.slot {
-            RoundSlot::Memory(records) => {
-                let records = records.clone();
-                Dataset {
-                    ctx: self.ctx.clone(),
-                    thunk: Box::new(move |_| {
-                        records.into_iter().map(|(k, v)| proj(k, v)).collect()
-                    }),
+        let file = self.file.clone();
+        let expect = self.live;
+        let tombstones = Arc::clone(&self.tombstones);
+        let handle = self.handle.clone();
+        let store = self.ctx.side_store();
+        Dataset {
+            ctx: self.ctx.clone(),
+            thunk: Box::new(move |_| {
+                let Some(file) = file else {
+                    return Vec::new();
+                };
+                // Re-reads go through the descriptor opened when the
+                // round file was installed: `try_clone` + rewind is
+                // cheaper than a path lookup + open per round.  The
+                // dup shares the file offset, so collects of one
+                // round must stay sequential (they do: the driver
+                // collects a round's dataset exactly once at a time).
+                let reader = match &handle {
+                    Some(handle) => handle
+                        .try_clone()
+                        .map_err(StorageError::from)
+                        .and_then(RunReader::<(K, V)>::from_file)
+                        .and_then(|r| r.check_type().map(|()| r)),
+                    None => store.open_reader::<(K, V)>(&file),
+                };
+                let mut reader =
+                    reader.unwrap_or_else(|e| panic!("failed to open round state `{file}`: {e}"));
+                let mut records = Vec::with_capacity(expect);
+                if tombstones.is_empty() {
+                    // Nothing is retired yet (every record of a fresh
+                    // seed or a fully-kept round survives): stream the
+                    // file without the per-record tombstone lookup.
+                    while let Some((k, v)) = reader
+                        .next_record()
+                        .unwrap_or_else(|e| panic!("failed to stream round state `{file}`: {e}"))
+                    {
+                        records.push(proj(k, v));
+                    }
+                } else {
+                    let mut retained =
+                        reader.retained(move |(k, _): &(K, V)| !tombstones.contains(k));
+                    while let Some((k, v)) = retained
+                        .next_record()
+                        .unwrap_or_else(|e| panic!("failed to stream round state `{file}`: {e}"))
+                    {
+                        records.push(proj(k, v));
+                    }
                 }
-            }
-            RoundSlot::Disk {
-                file,
-                live,
-                tombstones,
-                handle,
-            } => {
-                let file = file.clone();
-                let expect = *live;
-                let tombstones = Arc::clone(tombstones);
-                let handle = handle.clone();
-                let store = self.ctx.side_store();
-                Dataset {
-                    ctx: self.ctx.clone(),
-                    thunk: Box::new(move |_| {
-                        let Some(file) = file else {
-                            return Vec::new();
-                        };
-                        // Re-reads go through the descriptor opened when the
-                        // round file was installed: `try_clone` + rewind is
-                        // cheaper than a path lookup + open per round.  The
-                        // dup shares the file offset, so collects of one
-                        // round must stay sequential (they do: the driver
-                        // collects a round's dataset exactly once at a time).
-                        let reader = match &handle {
-                            Some(handle) => handle
-                                .try_clone()
-                                .map_err(StorageError::from)
-                                .and_then(RunReader::<(K, V)>::from_file)
-                                .and_then(|r| r.check_type().map(|()| r)),
-                            None => store.open_reader::<(K, V)>(&file),
-                        };
-                        let mut reader = reader
-                            .unwrap_or_else(|e| panic!("failed to open round state `{file}`: {e}"));
-                        let mut records = Vec::with_capacity(expect);
-                        if tombstones.is_empty() {
-                            // Nothing is retired yet (every record of a fresh
-                            // seed or a fully-kept round survives): stream the
-                            // file without the per-record tombstone lookup.
-                            while let Some((k, v)) = reader.next_record().unwrap_or_else(|e| {
-                                panic!("failed to stream round state `{file}`: {e}")
-                            }) {
-                                records.push(proj(k, v));
-                            }
-                        } else {
-                            let mut retained =
-                                reader.retained(move |(k, _): &(K, V)| !tombstones.contains(k));
-                            while let Some((k, v)) = retained.next_record().unwrap_or_else(|e| {
-                                panic!("failed to stream round state `{file}`: {e}")
-                            }) {
-                                records.push(proj(k, v));
-                            }
-                        }
-                        records
-                    }),
-                }
-            }
+                records
+            }),
         }
     }
 
@@ -798,37 +517,21 @@ impl<K: Key, V: Value> RoundState<K, V> {
         F: FnMut(&K, &V) -> bool,
     {
         self.round += 1;
-        match &mut self.slot {
-            RoundSlot::Memory(current) => {
-                let mut survivors = Vec::with_capacity(output.len());
-                for (k, v) in output {
-                    if keep(&k, &v) {
-                        survivors.push((k, v));
-                    }
-                }
-                *current = survivors;
-            }
-            RoundSlot::Disk { .. } => {
-                let mut tombstones = HashSet::new();
-                for (k, v) in &output {
-                    if !keep(k, v) {
-                        tombstones.insert(k.clone());
-                    }
-                }
-                let live = output.len() - tombstones.len();
-                let file = self.file_name(self.round);
-                self.write_round_file(&file, &output);
-                self.replace_disk_slot(Some(file), live, tombstones);
+        let mut tombstones = HashSet::new();
+        for (k, v) in &output {
+            if !keep(k, v) {
+                tombstones.insert(k.clone());
             }
         }
+        let live = output.len() - tombstones.len();
+        let file = self.file_name(self.round);
+        self.write_round_file(&file, &output);
+        self.replace_file(Some(file), live, tombstones);
     }
 
     /// Drops the state (and its disk file) explicitly.
     pub fn clear(&mut self) {
-        match &mut self.slot {
-            RoundSlot::Memory(records) => records.clear(),
-            RoundSlot::Disk { .. } => self.replace_disk_slot(None, 0, HashSet::new()),
-        }
+        self.replace_file(None, 0, HashSet::new());
     }
 
     fn file_name(&self, round: usize) -> String {
@@ -838,16 +541,16 @@ impl<K: Key, V: Value> RoundState<K, V> {
     fn write_round_file(&mut self, file: &str, records: &Records<K, V>) {
         let store = self.ctx.side_store();
         // A failed round-state write is an environment failure (disk
-        // full, permissions), like a failed persist.
+        // full, permissions).
         store
             .write(file, records)
             .unwrap_or_else(|e| panic!("failed to write round state `{file}`: {e}"));
         self.max_state_bytes = self.max_state_bytes.max(store.file_size(file));
     }
 
-    /// Installs a new disk slot, removing the superseded round file and
-    /// keeping the new file's descriptor open for the round's re-reads.
-    fn replace_disk_slot(&mut self, file: Option<String>, live: usize, tombstones: HashSet<K>) {
+    /// Installs a new round file, removing the superseded one and keeping
+    /// the new file's descriptor open for the round's re-reads.
+    fn replace_file(&mut self, file: Option<String>, live: usize, tombstones: HashSet<K>) {
         let store = self.ctx.side_store();
         // A failed open only costs the keep-open optimization: readers
         // fall back to opening the file by name.
@@ -855,33 +558,21 @@ impl<K: Key, V: Value> RoundState<K, V> {
             .as_deref()
             .and_then(|name| store.open_file(name).ok())
             .map(Arc::new);
-        let RoundSlot::Disk {
-            file: old_file,
-            live: old_live,
-            tombstones: old_tombstones,
-            handle: old_handle,
-        } = &mut self.slot
-        else {
-            unreachable!("replace_disk_slot on an in-memory slot");
-        };
-        if let Some(old) = old_file.take() {
+        if let Some(old) = self.file.take() {
             if file.as_deref() != Some(old.as_str()) {
                 store.remove(&old);
             }
         }
-        *old_file = file;
-        *old_live = live;
-        *old_tombstones = Arc::new(tombstones);
-        *old_handle = handle;
+        self.file = file;
+        self.live = live;
+        self.tombstones = Arc::new(tombstones);
+        self.handle = handle;
     }
 }
 
 impl<K: Key, V: Value> Drop for RoundState<K, V> {
     fn drop(&mut self) {
-        if let RoundSlot::Disk {
-            file: Some(file), ..
-        } = &self.slot
-        {
+        if let Some(file) = &self.file {
             self.ctx.side_store().remove(file);
         }
     }
@@ -889,8 +580,8 @@ impl<K: Key, V: Value> Drop for RoundState<K, V> {
 
 /// A deferred chain of MapReduce jobs producing `(K, V)` records.
 ///
-/// Nothing executes until a terminal — [`Dataset::collect`] or
-/// [`Dataset::persist`] — runs the plan.  Each completed job hands its
+/// Nothing executes until the terminal [`Dataset::collect`] runs the
+/// plan.  Each completed job hands its
 /// output records to the next job *by move*; no stage clones or re-sorts
 /// between jobs.
 pub struct Dataset<K: Key, V: Value> {
@@ -966,21 +657,6 @@ impl<K: Key, V: Value> Dataset<K, V> {
     pub fn collect(self) -> Records<K, V> {
         let Dataset { ctx, thunk } = self;
         thunk(&ctx)
-    }
-
-    /// Terminal: executes the chain and persists the final records in the
-    /// flow's store under `path`.  Returns a typed [`PersistedDataset`]
-    /// handle that [`FlowContext::load`] reads back without any chance of
-    /// a record-type mismatch.
-    pub fn persist(self, path: &str) -> PersistedDataset<K, V> {
-        let Dataset { ctx, thunk } = self;
-        let records = thunk(&ctx);
-        let count = ctx.persist_records(path, records);
-        PersistedDataset {
-            path: path.to_string(),
-            records: count,
-            _marker: PhantomData,
-        }
     }
 }
 
@@ -1302,93 +978,6 @@ mod tests {
         assert_eq!(inner.report().job_names(), vec!["inner-flow-inner"]);
     }
 
-    /// The persist/load contract is identical for both store backends.
-    fn check_persist_and_load(flow: FlowContext) {
-        let counts = flow
-            .dataset(input())
-            .map_with(SplitWords)
-            .reduce_with(SumCounts)
-            .persist("iteration-0/counts");
-        assert!(!counts.is_empty());
-        assert_eq!(counts.path(), "iteration-0/counts");
-        assert_eq!(
-            flow.persisted_paths(),
-            vec!["iteration-0/counts".to_string()]
-        );
-
-        // The typed handle reads back without any type re-assertion.
-        let reloaded = flow.load(&counts).collect();
-        assert_eq!(reloaded.len(), counts.len());
-        let the = reloaded.iter().find(|(w, _)| w == "the").expect("the");
-        assert_eq!(the.1, 3);
-
-        // A handle whose backing dataset is gone reads as empty (like an
-        // empty part-file directory) and is NOT recorded as an error…
-        let gone: PersistedDataset<String, u64> = PersistedDataset {
-            path: "nope".to_string(),
-            records: 0,
-            _marker: PhantomData,
-        };
-        let missing: Vec<(String, u64)> = flow.load(&gone).collect();
-        assert!(missing.is_empty());
-        assert!(flow.report().errors.is_empty());
-        assert!(matches!(
-            flow.read_persisted::<String, u64>("nope"),
-            Err(FlowError::MissingDataset { .. })
-        ));
-
-        // …but a handle whose path has since been rewritten at a
-        // different record type is a surfaced pipeline bug: the load
-        // materializes empty and the typed error lands in the report.
-        assert!(matches!(
-            flow.read_persisted::<u64, u64>("iteration-0/counts"),
-            Err(FlowError::TypeMismatch { .. })
-        ));
-        let _ = flow
-            .dataset(vec![(1u64, 2u64)])
-            .persist("iteration-0/counts");
-        let stale: Vec<(String, u64)> = flow.load(&counts).collect();
-        assert!(stale.is_empty());
-        let errors = flow.report().errors;
-        assert_eq!(errors.len(), 1, "{errors:?}");
-        assert!(matches!(&errors[0], FlowError::TypeMismatch { path, .. }
-            if path == "iteration-0/counts"));
-    }
-
-    #[test]
-    fn persist_and_load_round_trip_through_the_memory_store() {
-        check_persist_and_load(FlowContext::new(config()));
-    }
-
-    #[test]
-    fn persist_and_load_round_trip_through_the_disk_store() {
-        let dir = std::env::temp_dir().join(format!("smr-flow-disk-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        check_persist_and_load(FlowContext::with_disk_store(config(), &dir).unwrap());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn disk_persisted_datasets_survive_the_flow_that_wrote_them() {
-        let dir = std::env::temp_dir().join(format!("smr-flow-surv-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let flow = FlowContext::with_disk_store(config(), &dir).unwrap();
-            let _ = flow
-                .dataset(input())
-                .map_with(SplitWords)
-                .reduce_with(SumCounts)
-                .persist("stage-1/counts");
-        }
-        // A fresh flow over the same directory sees the dataset.
-        let flow = FlowContext::with_disk_store(config(), &dir).unwrap();
-        let counts = flow
-            .read_persisted::<String, u64>("stage-1/counts")
-            .unwrap();
-        assert!(counts.iter().any(|(w, c)| w == "the" && *c == 3));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[test]
     fn external_counters_land_in_the_job_metrics() {
         struct CountingMapper(Counters);
@@ -1433,37 +1022,11 @@ mod tests {
                 flow.clone().side_store().read::<u64>("chunk-0").unwrap(),
                 [1, 2]
             );
-            // Side data never shows up among persisted datasets.
-            assert!(flow.persisted_paths().is_empty());
         }
         assert!(
             !side_root.exists(),
             "side data must not survive the flow that wrote it"
         );
-    }
-
-    #[test]
-    fn disk_flow_side_store_lives_under_the_store_root_and_is_transient() {
-        let dir = std::env::temp_dir().join(format!("smr-flow-sidedisk-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let flow = FlowContext::with_disk_store(config(), &dir).unwrap();
-            let side = flow.side_store();
-            assert!(side.root().starts_with(&dir));
-            side.write("x", &[7u8]).unwrap();
-            let _ = flow
-                .dataset(input())
-                .map_with(SplitWords)
-                .reduce_with(SumCounts)
-                .persist("kept");
-            // Side data stays invisible to the persisted namespace.
-            assert_eq!(flow.persisted_paths(), vec!["kept".to_string()]);
-        }
-        // The persisted dataset survives; the side data does not.
-        let reopened = FlowContext::with_disk_store(config(), &dir).unwrap();
-        assert_eq!(reopened.persisted_paths(), vec!["kept".to_string()]);
-        assert!(!dir.join("_side").exists());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1474,9 +1037,10 @@ mod tests {
             .dataset(input())
             .map_with(SplitWords)
             .reduce_with(SumCounts)
-            .persist("shared");
+            .collect();
+        clone.side_store().write("shared", &[1u64]).unwrap();
         assert_eq!(flow.num_jobs(), 1);
-        assert!(flow.read_persisted::<String, u64>("shared").is_ok());
+        assert_eq!(flow.side_store().read::<u64>("shared").unwrap(), [1]);
     }
 
     #[test]
@@ -1514,17 +1078,6 @@ mod tests {
     }
 
     #[test]
-    fn persist_reports_the_record_count() {
-        let flow = FlowContext::new(config());
-        let written = flow
-            .dataset(input())
-            .map_with(SplitWords)
-            .reduce_with(SumCounts)
-            .persist("counts");
-        assert_eq!(written.len(), 6, "six distinct words");
-    }
-
-    #[test]
     fn mark_round_gives_round_local_job_views() {
         let flow = FlowContext::new(config());
         // A pre-round job, like a similarity join sharing the flow.
@@ -1556,52 +1109,11 @@ mod tests {
         assert_eq!(report.jobs_from(99).len(), 0);
     }
 
-    /// Runs the same two-round retire-and-continue workload through both
-    /// round-state modes and returns what each round's job consumed.
-    fn drive_round_state(mode: RoundStateMode) -> (Vec<Records<String, u64>>, usize, u64) {
-        let flow = FlowContext::new(config());
-        let mut state: RoundState<String, u64> = flow.round_state("words", mode);
-        let seed: Records<String, u64> = flow
-            .dataset(input())
-            .map_with(SplitWords)
-            .reduce_with(SumCounts)
-            .collect();
-        state.seed(seed);
-
-        let mut inputs = Vec::new();
-        while !state.is_empty() {
-            // The "round job": decrement each count, doubling the key
-            // through the projection to prove it is applied.
-            let round_input: Records<String, u64> =
-                state.dataset_with(|w, c| (format!("{w}!"), c)).collect();
-            inputs.push(round_input.clone());
-            let output: Records<String, u64> = round_input
-                .into_iter()
-                .map(|(w, c)| (w.trim_end_matches('!').to_string(), c - 1))
-                .collect();
-            // Retire words whose count reached zero — the tombstone path.
-            state.absorb(output, |_, c| *c > 0);
-        }
-        (inputs, state.round(), state.max_state_bytes())
-    }
-
-    #[test]
-    fn disk_backed_round_state_is_byte_identical_to_in_memory() {
-        let (memory_inputs, memory_rounds, memory_bytes) =
-            drive_round_state(RoundStateMode::InMemory);
-        let (disk_inputs, disk_rounds, disk_bytes) = drive_round_state(RoundStateMode::DiskBacked);
-        assert_eq!(memory_inputs, disk_inputs, "round inputs must not differ");
-        assert_eq!(memory_rounds, disk_rounds);
-        assert!(memory_inputs.len() >= 2, "the workload must iterate");
-        assert_eq!(memory_bytes, 0, "in-memory mode holds no disk state");
-        assert!(disk_bytes > 0, "disk mode must report its round files");
-    }
-
     #[test]
     fn disk_round_state_keeps_one_file_and_cleans_up() {
         let flow = FlowContext::new(config());
         let side = flow.side_store();
-        let mut state: RoundState<u32, u64> = flow.round_state("s", RoundStateMode::DiskBacked);
+        let mut state: RoundState<u32, u64> = flow.round_state("s");
         state.seed(vec![(1, 10), (2, 20), (3, 30)]);
         assert_eq!(side.paths().len(), 1, "seed writes one round file");
         state.absorb(vec![(1, 11), (2, 21), (3, 31)], |k, _| *k != 2);

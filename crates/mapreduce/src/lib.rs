@@ -32,9 +32,9 @@
 //!   communication cost per round),
 //! * an iterative [`driver`] for algorithms that chain many rounds
 //!   (GreedyMR, StackMR),
-//! * a record [`store`] standing in for HDFS between rounds — in memory
-//!   ([`KvStore`]) or on disk (`smr_storage::DiskKvStore`), both behind
-//!   the [`store::RecordStore`] persistence surface.
+//! * a lazy job-chain [`flow`] API whose [`flow::RoundState`] keeps the
+//!   records that survive between rounds in run files — the role HDFS
+//!   plays between Hadoop rounds.
 //!
 //! The engine is deliberately faithful to the programming model rather than
 //! to the physical deployment: the number of rounds an algorithm needs, the
@@ -144,7 +144,6 @@ pub mod partition;
 pub mod process_shard;
 mod sharded;
 pub mod shuffle;
-pub mod store;
 pub mod task_queue;
 pub mod types;
 
@@ -152,14 +151,11 @@ pub use config::JobConfig;
 pub use counters::{Counter, Counters};
 pub use driver::{IterativeDriver, IterativeJob, RoundOutcome, RunSummary};
 pub use executor::{Job, JobResult};
-pub use flow::{
-    Dataset, FlowContext, FlowError, FlowReport, PersistedDataset, RoundState, RoundStateMode,
-};
+pub use flow::{Dataset, FlowContext, FlowReport, RoundState};
 pub use metrics::{JobMetrics, PhaseTimings};
 pub use partition::{CombiningPartitionBuffer, HashPartitioner, Partitioner};
 pub use process_shard::{ProcessShardRuntime, ShardJob, ShardJobCheck, ShardRole};
 pub use shuffle::merge_runs;
-pub use store::{KvStore, RecordStore};
 pub use task_queue::{Task, TaskQueue};
 pub use types::{Codec, Combiner, Emitter, IdentityCombiner, Mapper, Reducer};
 
@@ -169,11 +165,8 @@ pub mod prelude {
     pub use crate::counters::Counters;
     pub use crate::driver::{IterativeDriver, IterativeJob, RoundOutcome, RunSummary};
     pub use crate::executor::{Job, JobResult};
-    pub use crate::flow::{
-        Dataset, FlowContext, FlowError, FlowReport, PersistedDataset, RoundState, RoundStateMode,
-    };
+    pub use crate::flow::{Dataset, FlowContext, FlowReport, RoundState};
     pub use crate::metrics::JobMetrics;
     pub use crate::partition::{HashPartitioner, Partitioner};
-    pub use crate::store::{KvStore, RecordStore};
     pub use crate::types::{Codec, Combiner, Emitter, IdentityCombiner, Mapper, Reducer};
 }

@@ -117,14 +117,16 @@ proptest! {
 #[test]
 fn store_round_trips_records_between_rounds() {
     // Simulates the per-round persistence pattern the iterative matching
-    // algorithms use: write the reduce output, read it back as the next
-    // round's input.
-    let store: KvStore<(u32, u64)> = KvStore::new();
-    let job = Job::new(JobConfig::named("store-roundtrip").with_threads(2));
+    // algorithms use: absorb the reduce output into the flow's round
+    // state, read it back as the next round's input.
+    let config = JobConfig::named("store-roundtrip").with_threads(2);
+    let flow = FlowContext::new(config.clone());
+    let mut state: RoundState<u32, u64> = flow.round_state("rounds");
+    let job = Job::new(config);
     let round0 = job.run(&Spread { groups: 3 }, &Max, vec![(0, 10), (1, 20), (5, 3)]);
-    store.write("round-0", round0.output.clone());
-    let next_input: Vec<(u32, u64)> = store.read("round-0").as_ref().clone();
-    assert_eq!(next_input.len(), round0.output.len());
+    state.absorb(round0.output.clone(), |_, _| true);
+    let next_input: Vec<(u32, u64)> = state.dataset().collect();
+    assert_eq!(next_input, round0.output);
     let round1 = job.run(&Spread { groups: 3 }, &Max, next_input);
     assert!(!round1.output.is_empty());
 }

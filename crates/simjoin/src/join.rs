@@ -36,7 +36,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, GraphBuilder};
 use smr_mapreduce::flow::FlowContext;
-use smr_mapreduce::{Combiner, Counters, Emitter, JobConfig, JobMetrics, Mapper, Reducer};
+use smr_mapreduce::{Combiner, Counters, Emitter, JobMetrics, Mapper, Reducer};
 use smr_storage::impl_codec_struct;
 use smr_text::{Corpus, SparseVector, TermId};
 
@@ -80,43 +80,6 @@ pub const PRUNE_SLACK: f64 = 1e-9;
 /// (recall = 1.0 by construction — it is the reference every sketch
 /// generator is measured against).
 pub const EXACT_GENERATOR: &str = "exact";
-
-/// Configuration of the MapReduce similarity join.
-#[derive(Debug, Clone)]
-pub struct SimJoinConfig {
-    /// Similarity threshold σ: only pairs with dot product ≥ σ become
-    /// candidate edges.
-    pub sigma: f64,
-    /// MapReduce job configuration used by both jobs.
-    pub job: JobConfig,
-}
-
-impl Default for SimJoinConfig {
-    fn default() -> Self {
-        SimJoinConfig {
-            sigma: 0.1,
-            job: JobConfig::named("simjoin"),
-        }
-    }
-}
-
-impl SimJoinConfig {
-    /// Sets the similarity threshold.
-    ///
-    /// # Panics
-    /// Panics if `sigma` is not strictly positive.
-    pub fn with_threshold(mut self, sigma: f64) -> Self {
-        assert!(sigma > 0.0, "threshold must be positive");
-        self.sigma = sigma;
-        self
-    }
-
-    /// Sets the MapReduce job configuration.
-    pub fn with_job(mut self, job: JobConfig) -> Self {
-        self.job = job;
-        self
-    }
-}
 
 /// Shuffle volume of one MapReduce stage of a candidate generator — the
 /// same two fields for every stage of every generator, so a frontier table
@@ -512,66 +475,15 @@ impl Reducer for VerifyReducer {
     }
 }
 
-/// Runs the two-job MapReduce similarity join between item and consumer
-/// corpora that share a vocabulary-independent term space.
+/// Runs the two-job MapReduce similarity join on pre-vectorized inputs:
+/// both sides must share one term space, so corpora built independently
+/// go through [`align_vector_spaces`] (and [`corpus_labels`]) first.
 ///
-/// The two corpora are first re-vectorized over a shared vocabulary (they
-/// are usually built independently, so their term ids would not otherwise
-/// line up); pre-aligned vectors can be joined directly with
-/// [`mapreduce_similarity_join_vectors`].
-pub fn mapreduce_similarity_join(
-    items: &Corpus,
-    consumers: &Corpus,
-    config: &SimJoinConfig,
-) -> SimJoinResult {
-    let flow = FlowContext::new(config.job.clone());
-    mapreduce_similarity_join_flow(items, consumers, config.sigma, &flow)
-}
-
-/// Runs the two-job join through a caller-provided [`FlowContext`]: both
-/// jobs execute as one lazy `Dataset` chain under the flow's `JobConfig`
-/// and report into the flow's [`smr_mapreduce::FlowReport`] alongside any
-/// other jobs of the surrounding pipeline.
-pub fn mapreduce_similarity_join_flow(
-    items: &Corpus,
-    consumers: &Corpus,
-    sigma: f64,
-    flow: &FlowContext,
-) -> SimJoinResult {
-    let (item_vectors, consumer_vectors) = align_vector_spaces(items, consumers);
-    mapreduce_similarity_join_vectors_flow(
-        &item_vectors,
-        &consumer_vectors,
-        &item_labels(items),
-        &consumer_labels(consumers),
-        sigma,
-        flow,
-    )
-}
-
-/// Runs the join directly on pre-vectorized inputs (both sides must share
-/// the same term space).
-pub fn mapreduce_similarity_join_vectors(
-    item_vectors: &[SparseVector],
-    consumer_vectors: &[SparseVector],
-    item_names: &[String],
-    consumer_names: &[String],
-    config: &SimJoinConfig,
-) -> SimJoinResult {
-    let flow = FlowContext::new(config.job.clone());
-    mapreduce_similarity_join_vectors_flow(
-        item_vectors,
-        consumer_vectors,
-        item_names,
-        consumer_names,
-        config.sigma,
-        &flow,
-    )
-}
-
-/// The core of the join: a two-stage [`Dataset`](smr_mapreduce::flow::Dataset)
-/// chain over `flow`, streaming its side data through the flow's side
-/// store.
+/// The join is a two-stage [`Dataset`](smr_mapreduce::flow::Dataset)
+/// chain over `flow`: both jobs execute under the flow's `JobConfig`,
+/// report into the flow's [`smr_mapreduce::FlowReport`] alongside any
+/// other jobs of the surrounding pipeline, and stream their side data
+/// through the flow's side store.
 ///
 /// Each corpus enters the chain exactly once, behind a shared
 /// `Arc<[SparseVector]>` riding in the job's mapper (the job *inputs* are
@@ -583,7 +495,7 @@ pub fn mapreduce_similarity_join_vectors(
 /// suffix-bound pruning, summing combiner, and exact verification against
 /// the disk-backed vectors.  Records flow between the stages by move;
 /// nothing executes until the terminal `collect`.
-pub fn mapreduce_similarity_join_vectors_flow(
+pub fn mapreduce_similarity_join(
     item_vectors: &[SparseVector],
     consumer_vectors: &[SparseVector],
     item_names: &[String],
@@ -787,18 +699,11 @@ pub fn corpus_labels(corpus: &Corpus) -> Vec<String> {
         .collect()
 }
 
-fn item_labels(corpus: &Corpus) -> Vec<String> {
-    corpus_labels(corpus)
-}
-
-fn consumer_labels(corpus: &Corpus) -> Vec<String> {
-    corpus_labels(corpus)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baseline::baseline_similarity_join;
+    use smr_mapreduce::JobConfig;
     use smr_text::{Document, TokenizerConfig};
 
     fn tag_corpus(docs: &[(&str, &str)]) -> Corpus {
@@ -834,10 +739,31 @@ mod tests {
             .collect()
     }
 
-    fn config(sigma: f64) -> SimJoinConfig {
-        SimJoinConfig::default()
-            .with_threshold(sigma)
-            .with_job(JobConfig::named("simjoin-test").with_threads(2))
+    fn job() -> JobConfig {
+        JobConfig::named("simjoin-test").with_threads(2)
+    }
+
+    /// Test helper: join under a throwaway flow running `job`.
+    fn join_with(
+        items: &[SparseVector],
+        consumers: &[SparseVector],
+        item_names: &[String],
+        consumer_names: &[String],
+        sigma: f64,
+        job: JobConfig,
+    ) -> SimJoinResult {
+        let flow = FlowContext::new(job);
+        mapreduce_similarity_join(items, consumers, item_names, consumer_names, sigma, &flow)
+    }
+
+    fn join(
+        items: &[SparseVector],
+        consumers: &[SparseVector],
+        item_names: &[String],
+        consumer_names: &[String],
+        sigma: f64,
+    ) -> SimJoinResult {
+        join_with(items, consumers, item_names, consumer_names, sigma, job())
     }
 
     #[test]
@@ -853,8 +779,16 @@ mod tests {
             ("u2", "forest hiking trail"),
             ("u3", "cooking pasta pizza"),
         ]);
+        let (item_vectors, consumer_vectors) = align_vector_spaces(&items, &consumers);
+        let (item_names, consumer_names) = (corpus_labels(&items), corpus_labels(&consumers));
         for sigma in [0.05, 0.2, 0.5] {
-            let mr = mapreduce_similarity_join(&items, &consumers, &config(sigma));
+            let mr = join(
+                &item_vectors,
+                &consumer_vectors,
+                &item_names,
+                &consumer_names,
+                sigma,
+            );
             let base = baseline_similarity_join(&items, &consumers, sigma);
             assert_eq!(
                 mr.graph.num_edges(),
@@ -871,13 +805,7 @@ mod tests {
         let item_names: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
         let consumer_names: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
         for sigma in [0.1, 0.3, 0.6] {
-            let result = mapreduce_similarity_join_vectors(
-                &items,
-                &consumers,
-                &item_names,
-                &consumer_names,
-                &config(sigma),
-            );
+            let result = join(&items, &consumers, &item_names, &consumer_names, sigma);
             // Brute-force ground truth.
             let mut expected = 0usize;
             for x in &items {
@@ -912,15 +840,8 @@ mod tests {
         let consumers = synthetic_vectors(15, 15, 4);
         let names_i: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
         let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
-        let loose = mapreduce_similarity_join_vectors(
-            &items,
-            &consumers,
-            &names_i,
-            &names_c,
-            &config(0.05),
-        );
-        let tight =
-            mapreduce_similarity_join_vectors(&items, &consumers, &names_i, &names_c, &config(0.7));
+        let loose = join(&items, &consumers, &names_i, &names_c, 0.05);
+        let tight = join(&items, &consumers, &names_i, &names_c, 0.7);
         assert!(tight.indexed_entries <= loose.indexed_entries);
         assert!(tight.candidate_pairs <= loose.candidate_pairs);
         assert!(tight.graph.num_edges() <= loose.graph.num_edges());
@@ -936,8 +857,7 @@ mod tests {
         let consumers = synthetic_vectors(14, 10, 6);
         let names_i: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
         let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
-        let result =
-            mapreduce_similarity_join_vectors(&items, &consumers, &names_i, &names_c, &config(0.4));
+        let result = join(&items, &consumers, &names_i, &names_c, 0.4);
         let probe = &result.job_metrics[1];
         assert!(result.candidates_pruned > 0, "{result:?}");
         assert_eq!(
@@ -1049,9 +969,8 @@ mod tests {
 
         // --- the flow chain ---
         let flow = FlowContext::new(job_config);
-        let result = mapreduce_similarity_join_vectors_flow(
-            &items, &consumers, &names_i, &names_c, sigma, &flow,
-        );
+        let result =
+            mapreduce_similarity_join(&items, &consumers, &names_i, &names_c, sigma, &flow);
 
         // Output records byte-identical: same edges, same order, same
         // weights.
@@ -1119,30 +1038,27 @@ mod tests {
         let names_i: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
         let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
         let sigma = 0.2;
-        let in_memory = mapreduce_similarity_join_vectors(
+        let in_memory = join_with(
             &items,
             &consumers,
             &names_i,
             &names_c,
-            &config(sigma).with_job(
-                JobConfig::named("simjoin-memory")
-                    .with_threads(2)
-                    .with_memory_budget(None),
-            ),
+            sigma,
+            JobConfig::named("simjoin-memory")
+                .with_threads(2)
+                .with_memory_budget(None),
         );
         // A budget of a few hundred bytes forces both join jobs through
         // the disk-spilling shuffle.
-        let spilled_config = SimJoinConfig::default().with_threshold(sigma).with_job(
-            JobConfig::named("simjoin-spilled")
-                .with_threads(2)
-                .with_memory_budget(Some(256)),
-        );
-        let spilled = mapreduce_similarity_join_vectors(
+        let spilled = join_with(
             &items,
             &consumers,
             &names_i,
             &names_c,
-            &spilled_config,
+            sigma,
+            JobConfig::named("simjoin-spilled")
+                .with_threads(2)
+                .with_memory_budget(Some(256)),
         );
         assert_eq!(spilled.graph.num_edges(), in_memory.graph.num_edges());
         assert_eq!(spilled.candidate_pairs, in_memory.candidate_pairs);
@@ -1160,9 +1076,7 @@ mod tests {
         let names_i: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
         let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
         let flow = FlowContext::new(JobConfig::named("cleanup").with_threads(2));
-        let _ = mapreduce_similarity_join_vectors_flow(
-            &items, &consumers, &names_i, &names_c, 0.2, &flow,
-        );
+        let _ = mapreduce_similarity_join(&items, &consumers, &names_i, &names_c, 0.2, &flow);
         assert!(
             flow.side_store().paths().is_empty(),
             "the join must not leak side datasets into the flow"
@@ -1172,7 +1086,7 @@ mod tests {
     #[test]
     fn empty_corpora_produce_an_empty_graph() {
         let empty: Vec<SparseVector> = Vec::new();
-        let result = mapreduce_similarity_join_vectors(&empty, &empty, &[], &[], &config(0.2));
+        let result = join(&empty, &empty, &[], &[], 0.2);
         assert_eq!(result.graph.num_edges(), 0);
         assert_eq!(result.graph.num_items(), 0);
         assert_eq!(result.candidate_pairs, 0);
@@ -1187,13 +1101,7 @@ mod tests {
         let names_i: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
         let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
         let sigma = 0.25;
-        let result = mapreduce_similarity_join_vectors(
-            &items,
-            &consumers,
-            &names_i,
-            &names_c,
-            &config(sigma),
-        );
+        let result = join(&items, &consumers, &names_i, &names_c, sigma);
         let mut true_pairs = 0usize;
         for x in &items {
             for y in &consumers {

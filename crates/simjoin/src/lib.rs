@@ -26,6 +26,7 @@
 //! # Example
 //!
 //! ```
+//! use smr_mapreduce::flow::FlowContext;
 //! use smr_simjoin::prelude::*;
 //! use smr_text::prelude::*;
 //!
@@ -43,8 +44,18 @@
 //!     ],
 //!     &TokenizerConfig::default(),
 //! );
-//! let config = SimJoinConfig::default().with_threshold(0.05);
-//! let result = mapreduce_similarity_join(&items, &consumers, &config);
+//! // Independently built corpora are re-vectorized over one vocabulary
+//! // before they are joined.
+//! let (item_vectors, consumer_vectors) = align_vector_spaces(&items, &consumers);
+//! let flow = FlowContext::named("simjoin-doc");
+//! let result = mapreduce_similarity_join(
+//!     &item_vectors,
+//!     &consumer_vectors,
+//!     &corpus_labels(&items),
+//!     &corpus_labels(&consumers),
+//!     0.05,
+//!     &flow,
+//! );
 //! // Each item ends up connected to the consumer with matching interests.
 //! assert_eq!(result.graph.num_edges(), 2);
 //! ```
@@ -64,10 +75,9 @@ pub use accum::ScoreAccumulator;
 pub use baseline::baseline_similarity_join;
 pub use index::{InvertedIndex, Posting};
 pub use join::{
-    align_vector_spaces, corpus_labels, mapreduce_similarity_join, mapreduce_similarity_join_flow,
-    mapreduce_similarity_join_vectors, mapreduce_similarity_join_vectors_flow, rarest_first_rank,
-    stage_shuffles, IndexMapper, IndexReducer, PartialScore, PartialScoreCombiner, SimJoinConfig,
-    SimJoinResult, StageShuffle, VerifyReducer, EXACT_GENERATOR, PRUNE_SLACK,
+    align_vector_spaces, corpus_labels, mapreduce_similarity_join, rarest_first_rank,
+    stage_shuffles, IndexMapper, IndexReducer, PartialScore, PartialScoreCombiner, SimJoinResult,
+    StageShuffle, VerifyReducer, EXACT_GENERATOR, PRUNE_SLACK,
 };
 pub use prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
 pub use serving::{ScoredMatch, ServingIndex};
@@ -78,9 +88,7 @@ pub mod prelude {
     pub use crate::baseline::baseline_similarity_join;
     pub use crate::index::{InvertedIndex, Posting};
     pub use crate::join::{
-        mapreduce_similarity_join, mapreduce_similarity_join_flow,
-        mapreduce_similarity_join_vectors, mapreduce_similarity_join_vectors_flow, PartialScore,
-        SimJoinConfig, SimJoinResult,
+        align_vector_spaces, corpus_labels, mapreduce_similarity_join, PartialScore, SimJoinResult,
     };
     pub use crate::prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
     pub use crate::serving::{ScoredMatch, ServingIndex};

@@ -7,8 +7,8 @@
 //! candidate set.
 
 use proptest::prelude::*;
-use smr_mapreduce::JobConfig;
-use smr_simjoin::{mapreduce_similarity_join_vectors, ServingIndex, SimJoinConfig};
+use smr_mapreduce::{FlowContext, JobConfig};
+use smr_simjoin::{mapreduce_similarity_join, ServingIndex};
 use smr_storage::DatasetStore;
 use smr_text::{SparseVector, TermId};
 
@@ -65,12 +65,13 @@ proptest! {
                 ServingIndex::for_corpora(&store, "serve", &items, &consumers, sigma);
 
             for budget in [Some(4 * 1024u64), None] {
-                let batch = mapreduce_similarity_join_vectors(
+                let batch = mapreduce_similarity_join(
                     &items,
                     &consumers,
                     &names_i,
                     &names_c,
-                    &SimJoinConfig::default().with_threshold(sigma).with_job(
+                    sigma,
+                    &FlowContext::new(
                         JobConfig::named("serving-props")
                             .with_threads(2)
                             .with_memory_budget(budget),

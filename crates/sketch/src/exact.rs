@@ -2,12 +2,12 @@
 //! construction.
 
 use smr_mapreduce::flow::FlowContext;
-use smr_simjoin::{mapreduce_similarity_join_vectors_flow, SimJoinResult, EXACT_GENERATOR};
+use smr_simjoin::{mapreduce_similarity_join, SimJoinResult, EXACT_GENERATOR};
 use smr_text::SparseVector;
 
 use crate::CandidateGenerator;
 
-/// Wraps [`mapreduce_similarity_join_vectors_flow`] behind the
+/// Wraps [`mapreduce_similarity_join`] behind the
 /// [`CandidateGenerator`] interface.  This is the default generator of the
 /// matching pipeline and the frontier's reference point: it misses no pair
 /// with similarity ≥ σ, so every sketch generator's recall is measured
@@ -37,7 +37,7 @@ impl CandidateGenerator for ExactPrefixJoin {
         sigma: f64,
         flow: &FlowContext,
     ) -> SimJoinResult {
-        mapreduce_similarity_join_vectors_flow(
+        mapreduce_similarity_join(
             item_vectors,
             consumer_vectors,
             item_names,

@@ -7,11 +7,9 @@
 //! to file names by percent-encoding, so names like `iteration-0/graph`
 //! work unchanged.
 //!
-//! [`DiskKvStore`] is the homogeneous wrapper mirroring the in-memory
-//! `KvStore` surface of the engine (write / append / read / exists /
-//! remove / len / paths / clear), for callers that persist one record type
-//! per store — the HDFS stand-in of iterative algorithms, now surviving on
-//! disk.
+//! [`DiskKvStore`] is a typed view over a [`DatasetStore`] for callers
+//! that persist one record type under many names (write / append / read),
+//! such as the similarity join's index partitions and vector chunks.
 
 use std::path::{Path, PathBuf};
 
@@ -209,27 +207,14 @@ impl DatasetStore {
         names.sort();
         names
     }
-
-    /// Total records across all datasets (headers only).
-    pub fn total_records(&self) -> u64 {
-        self.paths().iter().map(|n| self.record_count(n)).sum()
-    }
-
-    /// Removes every dataset.
-    pub fn clear(&self) {
-        for name in self.paths() {
-            self.remove(&name);
-        }
-    }
 }
 
-/// A disk-backed store of one record type, mirroring the in-memory
-/// `KvStore` persistence surface.
+/// A typed view of one record type over a [`DatasetStore`].
 ///
 /// Missing datasets read as empty (like reading an empty directory of part
 /// files); corrupt or wrongly typed datasets are surfaced through
-/// [`DiskKvStore::try_read`] and panic in the infallible mirror methods,
-/// since they indicate a bug or foreign data rather than a normal state.
+/// [`DiskKvStore::try_read`] and panic in the infallible methods, since
+/// they indicate a bug or foreign data rather than a normal state.
 #[derive(Debug, Clone)]
 pub struct DiskKvStore<T> {
     store: DatasetStore,
@@ -237,14 +222,6 @@ pub struct DiskKvStore<T> {
 }
 
 impl<T: Codec + Clone> DiskKvStore<T> {
-    /// Opens (creating if needed) the store rooted at `root`.
-    pub fn open(root: impl Into<PathBuf>) -> Result<Self, StorageError> {
-        Ok(DiskKvStore {
-            store: DatasetStore::open(root)?,
-            _marker: std::marker::PhantomData,
-        })
-    }
-
     /// Wraps an already opened [`DatasetStore`] as a typed view.  Several
     /// typed views (of different record types) can share one directory:
     /// each dataset file still carries its own type tag, so reading a
@@ -254,11 +231,6 @@ impl<T: Codec + Clone> DiskKvStore<T> {
             store,
             _marker: std::marker::PhantomData,
         }
-    }
-
-    /// The root directory.
-    pub fn root(&self) -> &Path {
-        self.store.root()
     }
 
     /// Writes (or replaces) the dataset at `path`.
@@ -289,41 +261,6 @@ impl<T: Codec + Clone> DiskKvStore<T> {
             Err(StorageError::Missing { .. }) => Ok(Vec::new()),
             Err(e) => Err(e),
         }
-    }
-
-    /// Whether a dataset exists at `path`.
-    pub fn exists(&self, path: &str) -> bool {
-        self.store.exists(path)
-    }
-
-    /// Removes the dataset at `path`, returning whether it existed.
-    pub fn remove(&self, path: &str) -> bool {
-        self.store.remove(path)
-    }
-
-    /// Number of records stored at `path`.
-    pub fn len(&self, path: &str) -> usize {
-        self.store.record_count(path) as usize
-    }
-
-    /// Whether the dataset at `path` is missing or empty.
-    pub fn is_empty(&self, path: &str) -> bool {
-        self.len(path) == 0
-    }
-
-    /// All dataset paths currently stored, sorted.
-    pub fn paths(&self) -> Vec<String> {
-        self.store.paths()
-    }
-
-    /// Total number of records across all datasets.
-    pub fn total_records(&self) -> usize {
-        self.store.total_records() as usize
-    }
-
-    /// Removes every dataset.
-    pub fn clear(&self) {
-        self.store.clear()
     }
 }
 
@@ -446,15 +383,14 @@ mod tests {
     }
 
     #[test]
-    fn paths_and_clear_cover_encoded_names() {
+    fn paths_and_remove_cover_encoded_names() {
         let store = temp_store("paths");
         store.write("b/nested", &[1u8]).unwrap();
         store.write("a", &[2u8, 3]).unwrap();
         assert_eq!(store.paths(), vec!["a".to_string(), "b/nested".to_string()]);
-        assert_eq!(store.total_records(), 3);
         assert!(store.remove("a"));
         assert!(!store.remove("a"));
-        store.clear();
+        assert!(store.remove("b/nested"));
         assert!(store.paths().is_empty());
         std::fs::remove_dir_all(store.root()).unwrap();
     }
@@ -464,10 +400,14 @@ mod tests {
         let store = temp_store("views");
         let numbers: DiskKvStore<u32> = DiskKvStore::from_store(store.clone());
         let words: DiskKvStore<String> = DiskKvStore::from_store(store.clone());
+        assert!(numbers.read("missing").is_empty());
         numbers.write("n", vec![1, 2]);
-        words.write("w", vec!["a".to_string()]);
-        assert_eq!(numbers.read("n"), vec![1, 2]);
+        numbers.append("n", vec![3]);
+        words.append("w", vec!["a".to_string()]);
+        assert_eq!(numbers.read("n"), vec![1, 2, 3]);
         assert_eq!(words.read("w"), vec!["a".to_string()]);
+        numbers.write("n", vec![7]);
+        assert_eq!(numbers.read("n"), vec![7], "write replaces");
         // Both datasets live in the same directory…
         assert_eq!(store.paths(), vec!["n".to_string(), "w".to_string()]);
         // …and reading across views is a typed error, not garbage.
@@ -476,27 +416,5 @@ mod tests {
             Err(StorageError::TypeMismatch { .. })
         ));
         std::fs::remove_dir_all(store.root()).unwrap();
-    }
-
-    #[test]
-    fn disk_kv_store_mirrors_the_kv_surface() {
-        let root = std::env::temp_dir().join(format!("smr-diskkv-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let store: DiskKvStore<u32> = DiskKvStore::open(&root).unwrap();
-        assert!(store.read("missing").is_empty());
-        assert!(store.is_empty("missing"));
-        store.write("x", vec![1, 2]);
-        store.append("x", vec![3]);
-        store.append("fresh", vec![9]);
-        assert_eq!(store.read("x"), vec![1, 2, 3]);
-        assert_eq!(store.len("x"), 3);
-        assert_eq!(store.paths(), vec!["fresh".to_string(), "x".to_string()]);
-        assert_eq!(store.total_records(), 4);
-        store.write("x", vec![7]);
-        assert_eq!(store.read("x"), vec![7], "write replaces");
-        assert!(store.remove("fresh"));
-        store.clear();
-        assert_eq!(store.total_records(), 0);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -17,16 +17,16 @@
 //!   budget share spill sorted runs through it, and the directory is
 //!   removed when the manager drops.
 //! * [`DatasetStore`] / [`DiskKvStore`] — file-backed named datasets with
-//!   per-dataset type tags, backing the flow layer's `persist`/`load` and
-//!   mirroring the in-memory `KvStore` persistence surface.
+//!   per-dataset type tags, backing the flow layer's side store (round
+//!   state, index partitions, vector chunks) and its typed views.
 //! * [`ShardManifest`] — the length-prefixed, checksummed commit record a
 //!   sharded worker process leaves beside its run files so the
 //!   multi-process runtime (`smr_distrib`) can treat the run format as a
 //!   wire format (see `docs/distrib.md`).
 //!
 //! The crate is deliberately dependency-free (std only) and sits below the
-//! engine: `smr_mapreduce` builds its disk-spilling shuffle and file-backed
-//! flow persistence on top of these pieces.
+//! engine: `smr_mapreduce` builds its disk-spilling shuffle and the flow's
+//! file-backed side store on top of these pieces.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

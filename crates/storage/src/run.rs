@@ -3,8 +3,8 @@
 //!
 //! A *run file* holds a sequence of [`Codec`]-encoded records — in the
 //! engine, one sorted run of `(key, value)` pairs spilled by a map task,
-//! or one persisted flow dataset.  The current (version 2) on-disk layout
-//! batches record frames into blocks:
+//! or one dataset of a flow's side store.  The current (version 2)
+//! on-disk layout batches record frames into blocks:
 //!
 //! ```text
 //! ┌──────────────────────────── header ────────────────────────────┐

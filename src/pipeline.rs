@@ -295,9 +295,6 @@ impl MatchingPipeline {
 
     fn run_inner(self) -> PipelineRun {
         let flow = FlowContext::new(self.job.clone());
-        // Only the algorithm-level knobs matter here: in flow mode the
-        // engine configuration (threads, shuffle, names) comes from the
-        // FlowContext, not from the configs' own `job` field.
         let mut greedy_config = GreedyMrConfig::default();
         if let Some(max_rounds) = self.max_rounds {
             greedy_config = greedy_config.with_max_rounds(max_rounds);

@@ -8,12 +8,27 @@ use social_content_matching::matching::{
     greedy_matching, optimal_matching, GreedyMr, GreedyMrConfig, StackMr, StackMrConfig,
 };
 use social_content_matching::simjoin::{
-    baseline_similarity_join, mapreduce_similarity_join, SimJoinConfig,
+    align_vector_spaces, baseline_similarity_join, corpus_labels, mapreduce_similarity_join,
+    SimJoinResult,
 };
 use social_content_matching::text::{Corpus, TokenizerConfig};
 
 fn quick_job(name: &str) -> JobConfig {
     JobConfig::named(name).with_threads(2)
+}
+
+/// The MapReduce join of two independently built corpora, under a fresh
+/// flow running `quick_job(name)`.
+fn join(items: &Corpus, consumers: &Corpus, sigma: f64, name: &str) -> SimJoinResult {
+    let (item_vectors, consumer_vectors) = align_vector_spaces(items, consumers);
+    mapreduce_similarity_join(
+        &item_vectors,
+        &consumer_vectors,
+        &corpus_labels(items),
+        &corpus_labels(consumers),
+        sigma,
+        &FlowContext::new(quick_job(name)),
+    )
 }
 
 fn flickr_pipeline(sigma: f64) -> (social_content_matching::graph::BipartiteGraph, Capacities) {
@@ -27,13 +42,7 @@ fn flickr_pipeline(sigma: f64) -> (social_content_matching::graph::BipartiteGrap
     .generate();
     let items = Corpus::build(dataset.items.clone(), &TokenizerConfig::tags_only());
     let users = Corpus::build(dataset.consumers.clone(), &TokenizerConfig::tags_only());
-    let join = mapreduce_similarity_join(
-        &items,
-        &users,
-        &SimJoinConfig::default()
-            .with_threshold(sigma)
-            .with_job(quick_job("e2e-join")),
-    );
+    let join = join(&items, &users, sigma, "e2e-join");
     let caps = dataset.capacities(1.0);
     (join.graph, caps)
 }
@@ -47,7 +56,7 @@ fn flickr_pipeline_produces_a_matchable_graph() {
     );
     assert!(caps.matches(&graph));
 
-    let run = GreedyMr::new(GreedyMrConfig::default().with_job(quick_job("e2e-greedy"))).run(
+    let run = GreedyMr::new(GreedyMrConfig::default()).run(
         &graph,
         &caps,
         &FlowContext::new(quick_job("e2e-greedy")),
@@ -60,14 +69,16 @@ fn flickr_pipeline_produces_a_matchable_graph() {
 #[test]
 fn greedy_mr_beats_stack_mr_on_value_and_both_respect_their_guarantees() {
     let (graph, caps) = flickr_pipeline(0.15);
-    let greedy_run = GreedyMr::new(GreedyMrConfig::default().with_job(quick_job("cmp-greedy")))
-        .run(&graph, &caps, &FlowContext::new(quick_job("cmp-greedy")));
-    let stack_run = StackMr::new(
-        StackMrConfig::default()
-            .with_seed(13)
-            .with_job(quick_job("cmp-stack")),
-    )
-    .run(&graph, &caps, &FlowContext::new(quick_job("cmp-stack")));
+    let greedy_run = GreedyMr::new(GreedyMrConfig::default()).run(
+        &graph,
+        &caps,
+        &FlowContext::new(quick_job("cmp-greedy")),
+    );
+    let stack_run = StackMr::new(StackMrConfig::default().with_seed(13)).run(
+        &graph,
+        &caps,
+        &FlowContext::new(quick_job("cmp-stack")),
+    );
 
     // The paper's headline comparison: GreedyMR consistently achieves the
     // higher b-matching value (it has the better guarantee too).
@@ -96,13 +107,7 @@ fn similarity_join_and_baseline_agree_on_the_answers_dataset() {
     let questions = Corpus::build(dataset.items.clone(), &TokenizerConfig::default());
     let users = Corpus::build(dataset.consumers.clone(), &TokenizerConfig::default());
     for sigma in [0.1, 0.3] {
-        let mr = mapreduce_similarity_join(
-            &questions,
-            &users,
-            &SimJoinConfig::default()
-                .with_threshold(sigma)
-                .with_job(quick_job("agree-join")),
-        );
+        let mr = join(&questions, &users, sigma, "agree-join");
         let baseline = baseline_similarity_join(&questions, &users, sigma);
         assert_eq!(
             mr.graph.num_edges(),
@@ -148,7 +153,7 @@ fn preset_sweep_shapes_match_the_paper() {
     assert!(dense.num_edges() > sparse.num_edges());
 
     let run_on = |graph: &social_content_matching::graph::BipartiteGraph| {
-        GreedyMr::new(GreedyMrConfig::default().with_job(quick_job("sweep-greedy")))
+        GreedyMr::new(GreedyMrConfig::default())
             .run(graph, &caps, &FlowContext::new(quick_job("sweep-greedy")))
             .value(graph)
     };
@@ -163,7 +168,7 @@ fn preset_sweep_shapes_match_the_paper() {
 #[test]
 fn anytime_trace_reaches_95_percent_before_the_last_round() {
     let (graph, caps) = flickr_pipeline(0.12);
-    let run = GreedyMr::new(GreedyMrConfig::default().with_job(quick_job("anytime"))).run(
+    let run = GreedyMr::new(GreedyMrConfig::default()).run(
         &graph,
         &caps,
         &FlowContext::new(quick_job("anytime")),

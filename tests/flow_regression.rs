@@ -1,6 +1,6 @@
-//! Regression tests for the `flow` API redesign: the old hand-wired entry
+//! Regression tests for the `flow` API redesign: the hand-wired entry
 //! points (`mapreduce_similarity_join` + `GreedyMr::run` / `StackMr::run`)
-//! and the new `Dataset`-chain path behind `MatchingPipeline` must produce
+//! and the `Dataset`-chain path behind `MatchingPipeline` must produce
 //! byte-identical results, and a single `FlowReport` must reproduce the
 //! paper's per-stage job counts (2 similarity-join jobs, one job per
 //! GreedyMR round) and total shuffled records.
@@ -11,7 +11,9 @@ use social_content_matching::mapreduce::JobConfig;
 use social_content_matching::matching::{
     AlgorithmKind, GreedyMr, GreedyMrConfig, StackMr, StackMrConfig,
 };
-use social_content_matching::simjoin::{mapreduce_similarity_join, SimJoinConfig};
+use social_content_matching::simjoin::{
+    align_vector_spaces, corpus_labels, mapreduce_similarity_join, SimJoinResult,
+};
 use social_content_matching::text::{Corpus, TokenizerConfig};
 use social_content_matching::MatchingPipeline;
 
@@ -32,28 +34,32 @@ fn quick_job(name: &str) -> JobConfig {
     JobConfig::named(name).with_threads(2)
 }
 
+/// The hand-wired join: corpora aligned over one vocabulary, then both
+/// jobs under their own flow.
+fn hand_wired_join(items: &Corpus, users: &Corpus) -> SimJoinResult {
+    let (item_vectors, user_vectors) = align_vector_spaces(items, users);
+    mapreduce_similarity_join(
+        &item_vectors,
+        &user_vectors,
+        &corpus_labels(items),
+        &corpus_labels(users),
+        SIGMA,
+        &FlowContext::new(quick_job("old")),
+    )
+}
+
 #[test]
 fn pipeline_run_is_byte_identical_to_the_pre_redesign_glue() {
     let dataset = dataset();
 
-    // --- the pre-redesign glue, verbatim: hand-built corpora, the old
-    // simjoin wrapper, a self-contained GreedyMr run ---
+    // --- the hand-wired glue: hand-built corpora, the join entry point,
+    // a separate GreedyMr run ---
     let items = Corpus::build(dataset.items.clone(), &TokenizerConfig::tags_only());
     let users = Corpus::build(dataset.consumers.clone(), &TokenizerConfig::tags_only());
-    let join = mapreduce_similarity_join(
-        &items,
-        &users,
-        &SimJoinConfig::default()
-            .with_threshold(SIGMA)
-            .with_job(quick_job("old")),
-    );
+    let join = hand_wired_join(&items, &users);
     let caps = dataset.capacities(1.0);
     let old_flow = FlowContext::new(quick_job("old"));
-    let old_matching = GreedyMr::new(GreedyMrConfig::default().with_job(quick_job("old"))).run(
-        &join.graph,
-        &caps,
-        &old_flow,
-    );
+    let old_matching = GreedyMr::new(GreedyMrConfig::default()).run(&join.graph, &caps, &old_flow);
 
     // --- the new chain ---
     let run = MatchingPipeline::new(dataset)
@@ -119,21 +125,11 @@ fn stack_mr_through_the_pipeline_matches_the_old_wrapper() {
     let dataset = dataset();
     let items = Corpus::build(dataset.items.clone(), &TokenizerConfig::tags_only());
     let users = Corpus::build(dataset.consumers.clone(), &TokenizerConfig::tags_only());
-    let join = mapreduce_similarity_join(
-        &items,
-        &users,
-        &SimJoinConfig::default()
-            .with_threshold(SIGMA)
-            .with_job(quick_job("old")),
-    );
+    let join = hand_wired_join(&items, &users);
     let caps = dataset.capacities(1.0);
     let old_flow = FlowContext::new(quick_job("old"));
-    let old = StackMr::new(
-        StackMrConfig::default()
-            .with_seed(13)
-            .with_job(quick_job("old")),
-    )
-    .run(&join.graph, &caps, &old_flow);
+    let old =
+        StackMr::new(StackMrConfig::default().with_seed(13)).run(&join.graph, &caps, &old_flow);
 
     let run = MatchingPipeline::new(dataset)
         .tokenizer(TokenizerConfig::tags_only())

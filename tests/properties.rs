@@ -74,7 +74,7 @@ proptest! {
     #[test]
     fn greedy_mr_is_feasible_and_half_optimal((graph, caps) in instance_strategy()) {
         let run = GreedyMr::new(
-            GreedyMrConfig::default().with_job(single_thread_job("prop-greedy-mr")),
+            GreedyMrConfig::default(),
         )
         .run(&graph, &caps, &FlowContext::new(single_thread_job("prop-greedy-mr")));
         let optimal = optimal_matching(&graph, &caps);
@@ -93,8 +93,7 @@ proptest! {
         let run = StackMr::new(
             StackMrConfig::default()
                 .with_epsilon(epsilon)
-                .with_seed(99)
-                .with_job(single_thread_job("prop-stack-mr")),
+                .with_seed(99),
         )
         .run(&graph, &caps, &FlowContext::new(single_thread_job("prop-stack-mr")));
         let optimal = optimal_matching(&graph, &caps);
@@ -183,7 +182,7 @@ proptest! {
     #[test]
     fn matching_violation_is_zero_iff_feasible((graph, caps) in instance_strategy()) {
         let run = GreedyMr::new(
-            GreedyMrConfig::default().with_job(single_thread_job("prop-violation")),
+            GreedyMrConfig::default(),
         )
         .run(&graph, &caps, &FlowContext::new(single_thread_job("prop-violation")));
         let feasible = run.matching.is_feasible(&graph, &caps);

@@ -2,9 +2,9 @@
 //!
 //! * swapping generators is invisible when the generator is the default —
 //!   a `MatchingPipeline` without `candidate_generator(...)`, one with the
-//!   explicit [`ExactPrefixJoin`], and the direct
-//!   `mapreduce_similarity_join_flow` call must be byte-identical, edges
-//!   and counters both (the "default stays exact" acceptance criterion);
+//!   explicit [`ExactPrefixJoin`], and `ExactPrefixJoin::generate` called
+//!   directly must be byte-identical, edges and counters both (the
+//!   "default stays exact" acceptance criterion);
 //! * the sketch generators' recall on `flickr-small` at its default σ and
 //!   well-known sketch seed is pinned — DISCO and LSH are deterministic
 //!   given `(seed, σ)`, so these numbers only move when the sampling
@@ -14,8 +14,9 @@
 use social_content_matching::datagen::{DatasetPreset, FlickrGenerator};
 use social_content_matching::mapreduce::flow::FlowContext;
 use social_content_matching::mapreduce::JobConfig;
-use social_content_matching::simjoin::mapreduce_similarity_join_flow;
-use social_content_matching::sketch::{DiscoSampler, ExactPrefixJoin, LshBander};
+use social_content_matching::sketch::{
+    CandidateGenerator, DiscoSampler, ExactPrefixJoin, LshBander,
+};
 use social_content_matching::text::{Corpus, TokenizerConfig};
 use social_content_matching::{CandidateGraph, MatchingPipeline};
 
@@ -49,7 +50,7 @@ fn default_generator_is_byte_identical_to_the_direct_join() {
     let items = Corpus::build(dataset.items.clone(), &TokenizerConfig::tags_only());
     let users = Corpus::build(dataset.consumers.clone(), &TokenizerConfig::tags_only());
     let flow = FlowContext::new(quick_job("direct"));
-    let direct = mapreduce_similarity_join_flow(&items, &users, sigma, &flow);
+    let direct = ExactPrefixJoin::new().generate(&items, &users, sigma, &flow);
 
     let implicit = MatchingPipeline::new(dataset.clone())
         .tokenizer(TokenizerConfig::tags_only())
@@ -76,7 +77,8 @@ fn default_generator_is_byte_identical_to_the_direct_join() {
     assert_eq!(edge_bits(&explicit), direct_bits);
 
     // And with its counters — candidate accounting, index size, shuffle
-    // volume — so the default path is the old path, not merely equivalent.
+    // volume — so the default path is the direct call, not merely
+    // equivalent.
     for candidate in [&implicit, &explicit] {
         assert_eq!(candidate.generator, direct.generator);
         assert_eq!(candidate.candidate_pairs, direct.candidate_pairs);
