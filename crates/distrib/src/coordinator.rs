@@ -223,6 +223,26 @@ impl CoordinatorRuntime {
     }
 }
 
+/// Checks that every run file a manifest names exists with exactly the
+/// length the manifest records, so a torn copy — or one carrying bytes
+/// beyond its run — is rejected before the merge reads it.
+fn shipped_runs_intact(manifest: &ShardManifest, attempt_dir: &Path) -> Result<(), String> {
+    for run in &manifest.runs {
+        let path = attempt_dir.join(&run.file);
+        let len = std::fs::metadata(&path)
+            .map_err(|e| format!("shipped run {} unreadable: {e}", path.display()))?
+            .len();
+        if len != run.len {
+            return Err(format!(
+                "shipped run {} holds {len} bytes, its manifest says {}",
+                path.display(),
+                run.len
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Errors meaning "the manifest has not been committed yet" (as opposed to
 /// "a manifest is there but corrupt").  Commits go through an atomic
 /// rename, so a visible-but-undecodable manifest is a real fault.
@@ -258,6 +278,14 @@ impl ProcessShardRuntime for CoordinatorRuntime {
                 match ShardManifest::read_from(&manifest_path) {
                     Ok(manifest) => {
                         self.validate(&manifest, job, expect, shard, attempt);
+                        let attempt_dir = manifest_path.parent().expect("manifest has a dir");
+                        if let Err(reason) = shipped_runs_intact(&manifest, attempt_dir) {
+                            // A torn or oversized run file is a fault like
+                            // an undecodable manifest: re-execute the shard.
+                            self.retry(shard, &reason);
+                            deadline = Instant::now() + self.opts.worker_timeout;
+                            continue;
+                        }
                         manifests.push(manifest);
                         break;
                     }
@@ -302,4 +330,48 @@ pub(crate) fn manifest_path(job_dir: &Path, shard: usize, attempt: u64) -> PathB
         .join(format!("shard-{shard}"))
         .join(format!("attempt-{attempt}"))
         .join("MANIFEST")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smr_storage::ManifestRun;
+
+    #[test]
+    fn shipped_runs_must_have_exactly_their_manifest_length() {
+        let dir = std::env::temp_dir().join(format!("smr-shipped-runs-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("p0.run"), [7u8; 40]).unwrap();
+        let manifest = |len| ShardManifest {
+            job_name: "job".to_string(),
+            job_seq: 0,
+            shard: 0,
+            num_shards: 1,
+            attempt: 1,
+            input_records: 0,
+            num_map_tasks: 1,
+            runs: vec![ManifestRun {
+                partition: 0,
+                task: 0,
+                seq: 0,
+                file: "p0.run".to_string(),
+                records: 1,
+                bytes: 10,
+                len,
+            }],
+            counters: Vec::new(),
+            map_micros: 0,
+        };
+        assert_eq!(shipped_runs_intact(&manifest(40), &dir), Ok(()));
+        for wrong in [39, 41] {
+            let err = shipped_runs_intact(&manifest(wrong), &dir).unwrap_err();
+            assert!(err.contains("holds 40 bytes"), "{err}");
+        }
+        std::fs::remove_file(dir.join("p0.run")).unwrap();
+        assert!(
+            shipped_runs_intact(&manifest(40), &dir).is_err(),
+            "missing file"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

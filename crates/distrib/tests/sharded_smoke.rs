@@ -68,6 +68,12 @@ fn assert_sharded_matches_local(shards: usize, test_name: &str, budget: Option<u
         .with_reduce_tasks(3)
         .with_memory_budget(budget);
     let local = word_count(config.clone());
+    if budget.is_some() {
+        // The combiner collapses each task to a handful of words, so the
+        // budget must be tiny for the shards to spill — and to ship
+        // spilled runs, which is what a budgeted case is for.
+        assert!(local.metrics.disk_runs > 0, "the budgeted case must spill");
+    }
     let sharded = run_sharded(options(shards, test_name), || {
         word_count(config.clone().with_process_shards(shards))
     });
@@ -79,6 +85,15 @@ fn assert_sharded_matches_local(shards: usize, test_name: &str, budget: Option<u
         sharded.counters.snapshot(),
         local.counters.snapshot(),
         "aggregated counters must match the in-process run"
+    );
+    // The coordinator rejects (and re-executes) a shard whose shipped run
+    // file differs in size from its run — for a spilled run, a copy
+    // holding more than the run's segment of the worker's spill file.  A
+    // fault-free session must never need that.
+    let stats = last_session_stats().expect("a session just completed");
+    assert_eq!(
+        stats.respawns, 0,
+        "no shipped run may be rejected: {stats:?}"
     );
 }
 
@@ -94,7 +109,7 @@ fn three_shards_match_local() {
 
 #[test]
 fn sharding_composes_with_spilling() {
-    assert_sharded_matches_local(2, "sharding_composes_with_spilling", Some(4096));
+    assert_sharded_matches_local(2, "sharding_composes_with_spilling", Some(256));
 }
 
 #[test]

@@ -68,7 +68,7 @@ pub struct JobConfig {
     /// the [`MEMORY_BUDGET_ENV`] environment variable is set) disables
     /// spilling.  The job's output is byte-identical for every budget.
     pub memory_budget: Option<u64>,
-    /// Directory spilled runs are written under (a per-job subdirectory is
+    /// Directory spilled runs are written under (one spill file per job,
     /// created lazily and removed when the job finishes).  `None` (the
     /// default unless [`SPILL_DIR_ENV`] is set) uses the system temp
     /// directory.

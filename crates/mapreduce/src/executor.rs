@@ -14,8 +14,8 @@
 //! 2. **Spill** — under a [`JobConfig::memory_budget`] each task watches
 //!    its buffer's byte estimate against its share of the budget.  When
 //!    combining cannot keep the buffer under budget, the task drains it
-//!    early: each partition bucket becomes a *sorted run* written to a
-//!    spill file through the job's `SpillManager` (`spill_bytes` /
+//!    early: each partition bucket becomes a *sorted run* appended to the
+//!    job's one spill file through its `SpillManager` (`spill_bytes` /
 //!    `disk_runs` metrics), and the buffer starts over empty.
 //! 3. **Run generation** — at task end every partition bucket is sorted
 //!    once (at task granularity) and combined, yielding the task's final
@@ -228,7 +228,7 @@ impl Job {
         );
         let partitions = self.merge_phase(runs, combiner, &counters, &mut metrics);
         // The merge consumed every disk run: dropping the spill manager
-        // here removes its temp directory before the reduce starts.
+        // here removes its spill file before the reduce starts.
         drop(spill);
 
         let output = self.reduce_phase(&partitions, reducer, &counters, &mut metrics);
@@ -248,8 +248,8 @@ impl Job {
     /// space and every per-task decision (spill points, run sequence
     /// numbers) are identical to an unsharded run, which is what makes
     /// runs produced by different processes merge to byte-identical
-    /// output.  Returns the runs and the spill manager whose temp files
-    /// back the disk runs (the caller must keep it alive until the runs
+    /// output.  Returns the runs and the spill manager whose spill file
+    /// backs the disk runs (the caller must keep it alive until the runs
     /// are consumed).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn map_phase<M, C, P>(
@@ -271,10 +271,10 @@ impl Job {
         let num_reduce_tasks = self.config.effective_reduce_tasks();
         let combine_buffer_records = self.config.combine_buffer_records;
 
-        // The spill manager exists only under a memory budget; its temp
-        // directory is created lazily on the first spill and removed when
-        // it drops (after the merge — or the shard export — has consumed
-        // every disk run, so no temp files survive the job either way).
+        // The spill manager exists only under a memory budget; its spill
+        // file is created lazily on the first spill and removed when it
+        // drops (after the merge — or the shard export — has consumed
+        // every disk run, so no temp file survives the job either way).
         let spill_manager = self
             .config
             .memory_budget
@@ -565,10 +565,16 @@ where
     {
         match source {
             RunSource::Memory(records) => RunStream::Memory(records.into_iter()),
-            RunSource::Disk(run) => RunStream::Disk(
-                RunReader::open(&run.path)
-                    .unwrap_or_else(|e| panic!("spilled run unreadable: {e}")),
-            ),
+            RunSource::Disk(run) => {
+                RunStream::Disk(RunReader::open_run(&run).unwrap_or_else(|e| {
+                    panic!(
+                        "spilled run at offset {} ({} bytes) of {} unreadable: {e}",
+                        run.offset,
+                        run.len,
+                        run.path.display()
+                    )
+                }))
+            }
         }
     }
 
@@ -595,10 +601,10 @@ where
     }
 }
 
-/// Drains `buffer` into sorted runs and writes every non-empty one to a
-/// spill file, registering the disk runs under `(task, seq)`.  Returns the
-/// number of records spilled (they leave the map task here, so they count
-/// as combine output).
+/// Drains `buffer` into sorted runs and appends every non-empty one to the
+/// job's spill file, registering the disk runs under `(task, seq)`.
+/// Returns the number of records spilled (they leave the map task here, so
+/// they count as combine output).
 fn spill_buffer<K, V>(
     buffer: &mut CombiningPartitionBuffer<K, V>,
     manager: &SpillManager,
@@ -622,6 +628,8 @@ where
             continue;
         }
         spilled += run.len() as u64;
+        // An I/O error from `write_run` names the spill file and the
+        // run's offset.
         let completed = manager
             .write_run(&run)
             .unwrap_or_else(|e| panic!("failed to spill run: {e}"));

@@ -26,6 +26,8 @@
 //! `finish()` patches the record count, so a half-written output is never
 //! adopted.
 
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -127,6 +129,8 @@ impl Job {
                             },
                             source: RunSource::Disk(CompletedRun {
                                 path: attempt_dir.join(&entry.file),
+                                offset: 0,
+                                len: entry.len,
                                 records: entry.records,
                                 bytes: entry.bytes,
                             }),
@@ -195,8 +199,8 @@ impl Job {
                 std::fs::create_dir_all(&attempt_dir)
                     .unwrap_or_else(|e| panic!("cannot create shard dir {attempt_dir:?}: {e}"));
                 let entries = export_runs(runs, &attempt_dir);
-                // Every spilled run has been copied out: the spill temp
-                // directory can go.
+                // Every spilled run has been copied out: the spill file
+                // can go.
                 drop(spill);
 
                 let manifest = ShardManifest {
@@ -234,8 +238,9 @@ impl Job {
 
 /// Writes every run to `attempt_dir` in the wire format and returns the
 /// manifest entries naming them.  In-memory runs are encoded through a
-/// [`RunWriter`]; spilled runs already *are* run files (the spill format
-/// is the wire format) and ship as a straight file copy.
+/// [`RunWriter`]; a spilled run's segment of the job's spill file already
+/// *is* a complete run file image (the spill format is the wire format),
+/// so exactly its `len` bytes ship as a straight copy.
 fn export_runs<K, V>(runs: TaggedRuns<K, V>, attempt_dir: &Path) -> Vec<ManifestRun>
 where
     K: crate::types::Key,
@@ -251,7 +256,7 @@ where
             };
             let file = format!("p{partition:05}-t{:06}-s{seq_name}.run", run.task);
             let path = attempt_dir.join(&file);
-            let (records, bytes) = match run.source {
+            let (records, bytes, len) = match run.source {
                 RunSource::Memory(records) => {
                     let mut writer: RunWriter<(K, V)> = RunWriter::create(&path)
                         .unwrap_or_else(|e| panic!("cannot create shard run {path:?}: {e}"));
@@ -263,12 +268,19 @@ where
                     let done = writer
                         .finish()
                         .unwrap_or_else(|e| panic!("cannot finish shard run {path:?}: {e}"));
-                    (done.records, done.bytes)
+                    (done.records, done.bytes, done.len)
                 }
                 RunSource::Disk(completed) => {
-                    std::fs::copy(&completed.path, &path)
-                        .unwrap_or_else(|e| panic!("cannot ship spilled run to {path:?}: {e}"));
-                    (completed.records, completed.bytes)
+                    ship_segment(&completed, &path).unwrap_or_else(|e| {
+                        panic!(
+                            "cannot ship the spilled run at offset {} ({} bytes) of {} to \
+                             {path:?}: {e}",
+                            completed.offset,
+                            completed.len,
+                            completed.path.display()
+                        )
+                    });
+                    (completed.records, completed.bytes, completed.len)
                 }
             };
             entries.push(ManifestRun {
@@ -282,10 +294,25 @@ where
                 file,
                 records,
                 bytes,
+                len,
             });
         }
     }
     entries
+}
+
+/// Copies exactly the segment `run` names into a new file at `to`.
+fn ship_segment(run: &CompletedRun, to: &Path) -> io::Result<()> {
+    let mut from = File::open(&run.path)?;
+    from.seek(SeekFrom::Start(run.offset))?;
+    let copied = io::copy(&mut from.take(run.len), &mut File::create(to)?)?;
+    if copied != run.len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("segment ends after {copied} of {} bytes", run.len),
+        ));
+    }
+    Ok(())
 }
 
 /// Publishes the job's reduced output at `path`.  The record count in the
@@ -310,7 +337,7 @@ fn publish_output<K: Codec, V: Codec>(path: &Path, output: &[(K, V)]) {
 fn try_read_output<K: Codec, V: Codec>(path: &Path) -> Option<Vec<(K, V)>> {
     let reader = match RunReader::<(K, V)>::open(path) {
         Ok(reader) => reader,
-        Err(StorageError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => return None,
+        Err(StorageError::Io(e)) if e.kind() == io::ErrorKind::NotFound => return None,
         Err(StorageError::Truncated { .. }) => return None,
         Err(e) => panic!("sharded job output at {path:?} unreadable: {e}"),
     };
@@ -347,5 +374,43 @@ fn poll_output<K: Codec, V: Codec>(
             std::process::exit(86);
         }
         std::thread::sleep(interval);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smr_storage::SpillManager;
+
+    #[test]
+    fn spilled_runs_ship_exactly_their_segment() {
+        let manager = SpillManager::new(64, 1, None);
+        let spilled: Vec<Vec<(u64, u64)>> = (0..3u64)
+            .map(|r| (0..20 + r * 5).map(|k| (k, r)).collect())
+            .collect();
+        let bucket: Vec<TaggedRun<u64, u64>> = spilled
+            .iter()
+            .enumerate()
+            .map(|(seq, records)| TaggedRun {
+                task: 0,
+                seq,
+                source: RunSource::Disk(manager.write_run(records).unwrap()),
+            })
+            .collect();
+        let dir = std::env::temp_dir().join(format!("smr-export-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+
+        let entries = export_runs(vec![Mutex::new(bucket)], &dir);
+        assert_eq!(entries.len(), spilled.len());
+        let spill_len = std::fs::metadata(manager.path().unwrap()).unwrap().len();
+        for (entry, records) in entries.iter().zip(&spilled) {
+            let path = dir.join(&entry.file);
+            let shipped = std::fs::metadata(&path).unwrap().len();
+            assert_eq!(shipped, entry.len, "{path:?} must hold exactly its segment");
+            assert!(shipped < spill_len, "{path:?} shipped the whole spill file");
+            let reader: RunReader<(u64, u64)> = RunReader::open(&path).unwrap();
+            assert_eq!(&reader.read_to_end().unwrap(), records);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -8,14 +8,15 @@
 //!   length-prefixed variable-size fields) with impls for the primitives
 //!   and [`impl_codec_struct!`] / [`impl_codec_newtype!`] for user types.
 //!   Every key/value type that crosses the engine's shuffle implements it.
-//! * [`RunWriter`] / [`RunReader`] — sorted spill-run files: length-
-//!   prefixed record frames behind a versioned header that records the
+//! * [`RunWriter`] / [`RunReader`] — sorted run files: length-prefixed
+//!   record frames in blocks behind a versioned header that records the
 //!   format version, the record count (patched on finish, so half-written
-//!   files are rejected) and the record type's name.
-//! * [`SpillManager`] — owns a job's memory budget and a self-cleaning
-//!   temp directory: map tasks whose combining buffer outgrows their
-//!   budget share spill sorted runs through it, and the directory is
-//!   removed when the manager drops.
+//!   files are rejected) and the record type's name.  A reader reads one
+//!   run: a whole file, or the byte segment a [`CompletedRun`] names.
+//! * [`SpillManager`] — owns a job's memory budget and one self-cleaning,
+//!   append-only spill file: map tasks whose combining buffer outgrows
+//!   their budget share append sorted runs to it, each at its own offset,
+//!   and the file is removed when the manager drops.
 //! * [`DatasetStore`] / [`DiskKvStore`] — file-backed named datasets with
 //!   per-dataset type tags, backing the flow layer's side store (round
 //!   state, index partitions, vector chunks) and its typed views.

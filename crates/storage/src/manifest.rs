@@ -38,8 +38,9 @@ use crate::run::StorageError;
 /// Magic bytes identifying a shard manifest.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"SMRM";
 
-/// Version of the manifest format this build reads and writes.
-pub const MANIFEST_VERSION: u16 = 1;
+/// Version of the manifest format this build reads and writes (2: each
+/// run entry carries its file length).
+pub const MANIFEST_VERSION: u16 = 2;
 
 /// Manifests cannot plausibly exceed this size; a larger length prefix is
 /// treated as corruption instead of allocating it.
@@ -63,8 +64,12 @@ pub struct ManifestRun {
     /// Records in the run (the run header agrees; duplicated here so the
     /// coordinator can size its merge without opening every file).
     pub records: u64,
-    /// Encoded bytes of the run file.
+    /// Frame bytes of the run (headers excluded), as
+    /// [`CompletedRun::bytes`](crate::CompletedRun::bytes) counts them.
     pub bytes: u64,
+    /// Length of the run file in bytes: the coordinator rejects a shipped
+    /// file of any other size before reading it.
+    pub len: u64,
 }
 
 impl_codec_struct!(ManifestRun {
@@ -73,7 +78,8 @@ impl_codec_struct!(ManifestRun {
     seq,
     file,
     records,
-    bytes
+    bytes,
+    len
 });
 
 /// The commit record one worker writes after finishing its map slice of
@@ -231,6 +237,7 @@ mod tests {
                     file: "p00000-t000002-s0.run".to_string(),
                     records: 40,
                     bytes: 512,
+                    len: 612,
                 },
                 ManifestRun {
                     partition: 1,
@@ -239,6 +246,7 @@ mod tests {
                     file: "p00001-t000003-final.run".to_string(),
                     records: 7,
                     bytes: 99,
+                    len: 170,
                 },
             ],
             counters: vec![

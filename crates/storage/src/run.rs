@@ -34,6 +34,13 @@
 //! rejected with a clean [`StorageError::VersionMismatch`] (a version-1
 //! reader rejects version-2 files the same way — the header layout is
 //! shared, only the framing after it differs).
+//!
+//! A run need not fill its file.  A job's spill file packs many runs back
+//! to back, each a complete header-plus-blocks image at its own offset;
+//! a [`CompletedRun`] names one such byte segment, and a reader opened on
+//! it bounds every header, block and frame by the segment's length, so a
+//! corrupt count or length surfaces as [`StorageError::Truncated`] instead
+//! of decoding the next run's bytes.
 
 use std::fmt;
 use std::fs::File;
@@ -149,6 +156,126 @@ impl From<CodecError> for StorageError {
     }
 }
 
+/// Writes the file header — magic, `version`, the record `count` (the
+/// final one, or [`COUNT_PENDING`] until a writer finishes) and the
+/// length-prefixed type tag — and returns its length in bytes.
+fn write_header(
+    out: &mut impl Write,
+    version: u16,
+    count: u64,
+    type_tag: &str,
+) -> Result<u64, StorageError> {
+    out.write_all(&MAGIC)?;
+    out.write_all(&version.to_le_bytes())?;
+    out.write_all(&count.to_le_bytes())?;
+    out.write_all(&(type_tag.len() as u64).to_le_bytes())?;
+    out.write_all(type_tag.as_bytes())?;
+    Ok(COUNT_OFFSET + 8 + 8 + type_tag.len() as u64)
+}
+
+/// The record framing every writer shares: frames are encoded straight
+/// into one reusable block buffer, which goes to the sink as one block
+/// (version 2) whenever it passes the ~64 KiB target, or frame by frame
+/// without block headers (version 1).
+#[derive(Debug)]
+struct Framer<W> {
+    sink: W,
+    version: u16,
+    records: u64,
+    /// Frame bytes pushed (block headers excluded).
+    bytes: u64,
+    /// Bytes handed to the sink, block headers included.
+    written: u64,
+    /// Frames accumulated for the current block (version 1: at most the
+    /// one frame being built).
+    block: Vec<u8>,
+    /// Records in the current block.
+    block_records: u32,
+}
+
+impl<W: Write> Framer<W> {
+    fn new(sink: W, version: u16, records: u64) -> Self {
+        Framer {
+            sink,
+            version,
+            records,
+            bytes: 0,
+            written: 0,
+            block: Vec::new(),
+            block_records: 0,
+        }
+    }
+
+    /// Appends one record frame, encoding straight into the block buffer.
+    fn push<R: Codec>(&mut self, record: &R) -> Result<(), StorageError> {
+        let start = self.block.len();
+        self.block.reserve(4 + record.encoded_len());
+        self.block.extend_from_slice(&[0u8; 4]);
+        record.encode(&mut self.block);
+        let payload = self.block.len() - start - 4;
+        let len = u32::try_from(payload)
+            .ok()
+            .filter(|len| *len <= u32::MAX - 8)
+            .ok_or_else(|| {
+                StorageError::Codec(CodecError::InvalidData(format!(
+                    "record of {payload} bytes exceeds the 4 GiB frame limit"
+                )))
+            })?;
+        self.block[start..start + 4].copy_from_slice(&len.to_le_bytes());
+        self.records += 1;
+        self.block_records += 1;
+        self.bytes += 4 + u64::from(len);
+        if self.version == LEGACY_FORMAT_VERSION || self.block.len() >= BLOCK_TARGET_BYTES {
+            self.flush_block()?;
+        }
+        Ok(())
+    }
+
+    /// Writes the accumulated block (with its block header on version 2)
+    /// and resets the buffer.
+    fn flush_block(&mut self) -> Result<(), StorageError> {
+        if self.block_records == 0 {
+            return Ok(());
+        }
+        if self.version != LEGACY_FORMAT_VERSION {
+            let block_len = u32::try_from(self.block.len()).map_err(|_| {
+                StorageError::Codec(CodecError::InvalidData(format!(
+                    "block of {} bytes exceeds the 4 GiB limit",
+                    self.block.len()
+                )))
+            })?;
+            self.sink.write_all(&block_len.to_le_bytes())?;
+            self.sink.write_all(&self.block_records.to_le_bytes())?;
+            self.written += 8;
+        }
+        self.sink.write_all(&self.block)?;
+        self.written += self.block.len() as u64;
+        self.block.clear();
+        self.block_records = 0;
+        Ok(())
+    }
+}
+
+/// Appends `records` to `out` as one complete version-2 run: exactly the
+/// bytes a [`RunWriter`] leaves in a file, except that the header carries
+/// the final record count from the start (the slice length is known, so
+/// there is nothing to patch).  Returns the frame bytes, as
+/// [`CompletedRun::bytes`] counts them.
+pub(crate) fn encode_run<R: Codec>(records: &[R], out: &mut Vec<u8>) -> Result<u64, StorageError> {
+    write_header(
+        out,
+        FORMAT_VERSION,
+        records.len() as u64,
+        std::any::type_name::<R>(),
+    )?;
+    let mut framer = Framer::new(out, FORMAT_VERSION, 0);
+    for record in records {
+        framer.push(record)?;
+    }
+    framer.flush_block()?;
+    Ok(framer.bytes)
+}
+
 /// Writes one run file: header first, then frames batched into blocks.
 ///
 /// Records are encoded directly into the writer's reusable block buffer —
@@ -161,17 +288,11 @@ impl From<CodecError> for StorageError {
 /// run can never be mistaken for a complete one.
 #[derive(Debug)]
 pub struct RunWriter<R> {
-    writer: BufWriter<File>,
+    framer: Framer<BufWriter<File>>,
     path: PathBuf,
-    version: u16,
-    records: u64,
-    bytes: u64,
-    /// Frames accumulated for the current block (version 1: at most the
-    /// one frame being built, flushed frame by frame without block
-    /// headers).
-    block: Vec<u8>,
-    /// Records in the current block.
-    block_records: u32,
+    /// File offset the framer's first byte lands at (the header length,
+    /// or the end of the committed records when appending).
+    start: u64,
     _marker: PhantomData<fn(&R)>,
 }
 
@@ -203,22 +324,12 @@ impl<R: Codec> RunWriter<R> {
         version: u16,
     ) -> Result<Self, StorageError> {
         let path = path.into();
-        let file = File::create(&path)?;
-        let mut writer = BufWriter::new(file);
-        writer.write_all(&MAGIC)?;
-        writer.write_all(&version.to_le_bytes())?;
-        writer.write_all(&COUNT_PENDING.to_le_bytes())?;
-        let mut tag = Vec::new();
-        type_tag.to_string().encode(&mut tag);
-        writer.write_all(&tag)?;
+        let mut writer = BufWriter::new(File::create(&path)?);
+        let start = write_header(&mut writer, version, COUNT_PENDING, type_tag)?;
         Ok(RunWriter {
-            writer,
+            framer: Framer::new(writer, version, 0),
             path,
-            version,
-            records: 0,
-            bytes: 0,
-            block: Vec::new(),
-            block_records: 0,
+            start,
             _marker: PhantomData,
         })
     }
@@ -283,97 +394,65 @@ impl<R: Codec> RunWriter<R> {
         file.set_len(pos)?;
         file.seek(SeekFrom::Start(pos))?;
         Ok(RunWriter {
-            writer: BufWriter::new(file),
+            framer: Framer::new(BufWriter::new(file), version, existing),
             path,
-            version,
-            records: existing,
-            bytes: 0,
-            block: Vec::new(),
-            block_records: 0,
+            start: pos,
             _marker: PhantomData,
         })
     }
 
     /// Appends one record frame, encoding straight into the block buffer.
     pub fn push(&mut self, record: &R) -> Result<(), StorageError> {
-        let start = self.block.len();
-        self.block.reserve(4 + record.encoded_len());
-        self.block.extend_from_slice(&[0u8; 4]);
-        record.encode(&mut self.block);
-        let payload = self.block.len() - start - 4;
-        let len = u32::try_from(payload)
-            .ok()
-            .filter(|len| *len <= u32::MAX - 8)
-            .ok_or_else(|| {
-                StorageError::Codec(CodecError::InvalidData(format!(
-                    "record of {payload} bytes exceeds the 4 GiB frame limit"
-                )))
-            })?;
-        self.block[start..start + 4].copy_from_slice(&len.to_le_bytes());
-        self.records += 1;
-        self.block_records += 1;
-        self.bytes += 4 + u64::from(len);
-        if self.version == LEGACY_FORMAT_VERSION || self.block.len() >= BLOCK_TARGET_BYTES {
-            self.flush_block()?;
-        }
-        Ok(())
-    }
-
-    /// Writes the accumulated block (with its block header on version 2)
-    /// and resets the buffer.
-    fn flush_block(&mut self) -> Result<(), StorageError> {
-        if self.block_records == 0 {
-            return Ok(());
-        }
-        if self.version != LEGACY_FORMAT_VERSION {
-            let block_len = u32::try_from(self.block.len()).map_err(|_| {
-                StorageError::Codec(CodecError::InvalidData(format!(
-                    "block of {} bytes exceeds the 4 GiB limit",
-                    self.block.len()
-                )))
-            })?;
-            self.writer.write_all(&block_len.to_le_bytes())?;
-            self.writer.write_all(&self.block_records.to_le_bytes())?;
-        }
-        self.writer.write_all(&self.block)?;
-        self.block.clear();
-        self.block_records = 0;
-        Ok(())
+        self.framer.push(record)
     }
 
     /// Number of records pushed so far.
     pub fn records(&self) -> u64 {
-        self.records
+        self.framer.records
     }
 
     /// Frame bytes written so far (file header and block headers excluded).
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.framer.bytes
     }
 
     /// Flushes (including the partial tail block), patches the record
     /// count into the header and returns a handle describing the completed
     /// run.
     pub fn finish(mut self) -> Result<CompletedRun, StorageError> {
-        self.flush_block()?;
-        self.writer.flush()?;
-        let file = self.writer.get_mut();
+        self.framer.flush_block()?;
+        self.framer.sink.flush()?;
+        let file = self.framer.sink.get_mut();
         file.seek(SeekFrom::Start(COUNT_OFFSET))?;
-        file.write_all(&self.records.to_le_bytes())?;
+        file.write_all(&self.framer.records.to_le_bytes())?;
         Ok(CompletedRun {
             path: self.path,
-            records: self.records,
-            bytes: self.bytes,
+            offset: 0,
+            len: self.start + self.framer.written,
+            records: self.framer.records,
+            bytes: self.framer.bytes,
         })
     }
 }
 
-/// A finished run file: its path plus cheap size accounting.
+/// A finished run: where it lives plus cheap size accounting.
+///
+/// A run is the byte segment `[offset, offset + len)` of the file at
+/// `path` — the whole file for a [`RunWriter`] run, one of many runs
+/// packed into a job's spill file for a [`SpillManager`] run.  Either way
+/// the segment is a complete run file image (header, then blocks), read
+/// back by [`RunReader::open_run`].
+///
+/// [`SpillManager`]: crate::SpillManager
 #[derive(Debug, Clone)]
 pub struct CompletedRun {
-    /// Where the run lives.
+    /// The file holding the run.
     pub path: PathBuf,
-    /// Records in the file (including pre-existing ones after an
+    /// Byte offset of the run's header inside the file.
+    pub offset: u64,
+    /// Length of the run's segment in bytes (header and blocks).
+    pub len: u64,
+    /// Records in the run (including pre-existing ones after an
     /// [`RunWriter::append_to`]).
     pub records: u64,
     /// Frame bytes written by *this* writer (headers and pre-existing
@@ -381,22 +460,29 @@ pub struct CompletedRun {
     pub bytes: u64,
 }
 
-/// Streams the records of a run file back, validating the header up front
-/// and the record count at the end.
+/// Streams the records of a run back, validating the header up front and
+/// the record count at the end.
 ///
-/// Version-2 files are read a block at a time: one `read_exact` fills the
+/// Every reader reads one byte *segment* of a file: the run's header
+/// starts at the segment's first byte, and no read — header, block or
+/// frame — ever reaches past its last.  [`RunReader::open_run`] reads the
+/// segment a [`CompletedRun`] names; [`RunReader::open`] and
+/// [`RunReader::from_file`] read a whole file as one segment.
+///
+/// Version-2 runs are read a block at a time: one `read_exact` fills the
 /// reusable block buffer and records decode from the contiguous slice.
-/// Version-1 files fall back to the original frame-by-frame path.
+/// Version-1 runs fall back to the original frame-by-frame path.
 #[derive(Debug)]
 pub struct RunReader<R> {
-    reader: BufReader<File>,
+    reader: BufReader<io::Take<File>>,
     type_tag: String,
     version: u16,
     expected: u64,
     read: u64,
-    /// Bytes of the file left past what has been consumed — bounds every
-    /// frame and block before any allocation, so a corrupt length cannot
-    /// force a multi-gigabyte `resize`.
+    /// Bytes of the segment left past what has been consumed — bounds
+    /// every frame and block before any allocation, so a corrupt length
+    /// can neither force a multi-gigabyte `resize` nor reach into the
+    /// bytes of a neighbouring run.
     remaining_bytes: u64,
     /// Version 2: the current decoded-from block.  Version 1: the current
     /// record's payload.
@@ -407,20 +493,34 @@ pub struct RunReader<R> {
 }
 
 impl<R: Codec> RunReader<R> {
-    /// Opens `path`, validating magic, version and writer completion.
+    /// Opens the whole file at `path` as one run, validating magic,
+    /// version and writer completion.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StorageError> {
         Self::from_file(File::open(path.as_ref())?)
     }
 
-    /// Reads a run from an already-open `file`, validating magic, version
-    /// and writer completion.  The handle is rewound first, so a handle
-    /// cloned from a previous reader (whose offset it shares) starts at
-    /// the header again — this lets callers keep one descriptor open
-    /// across repeated re-reads instead of paying a path lookup each time.
-    pub fn from_file(mut file: File) -> Result<Self, StorageError> {
-        file.seek(SeekFrom::Start(0))?;
-        let file_len = file.metadata()?.len();
-        let mut reader = BufReader::new(file);
+    /// Reads a whole already-open `file` as one run, validating magic,
+    /// version and writer completion.  Reading starts at offset 0
+    /// whatever the handle's position, so a handle cloned from a previous
+    /// reader (whose offset it shares) starts at the header again — this
+    /// lets callers keep one descriptor open across repeated re-reads
+    /// instead of paying a path lookup each time.
+    pub fn from_file(file: File) -> Result<Self, StorageError> {
+        let len = file.metadata()?.len();
+        Self::segment(file, 0, len)
+    }
+
+    /// Opens the segment `run` names — `[run.offset, run.offset + run.len)`
+    /// of `run.path` — validating magic, version and writer completion.
+    pub fn open_run(run: &CompletedRun) -> Result<Self, StorageError> {
+        Self::segment(File::open(&run.path)?, run.offset, run.len)
+    }
+
+    /// The one reader constructor: parses the header at `offset` and
+    /// bounds every later read by the segment's `len` bytes.
+    fn segment(mut file: File, offset: u64, len: u64) -> Result<Self, StorageError> {
+        file.seek(SeekFrom::Start(offset))?;
+        let mut reader = BufReader::new(file.take(len));
         let mut magic = [0u8; 4];
         read_exact_or_truncated(&mut reader, &mut magic)?;
         if magic != MAGIC {
@@ -444,9 +544,9 @@ impl<R: Codec> RunReader<R> {
                 found: 0,
             });
         }
-        let mut len = [0u8; 8];
-        read_exact_or_truncated(&mut reader, &mut len)?;
-        let tag_len = usize::try_from(u64::from_le_bytes(len))
+        let mut tag_len = [0u8; 8];
+        read_exact_or_truncated(&mut reader, &mut tag_len)?;
+        let tag_len = usize::try_from(u64::from_le_bytes(tag_len))
             .map_err(|_| StorageError::Codec(CodecError::InvalidData("tag length".into())))?;
         if tag_len > 64 * 1024 {
             return Err(StorageError::Codec(CodecError::InvalidData(format!(
@@ -457,14 +557,14 @@ impl<R: Codec> RunReader<R> {
         read_exact_or_truncated(&mut reader, &mut tag)?;
         let type_tag = String::from_utf8(tag)
             .map_err(|e| StorageError::Codec(CodecError::InvalidData(format!("type tag: {e}"))))?;
-        let header_len = (MAGIC.len() + 2 + 8 + 8 + tag_len) as u64;
+        let header_len = COUNT_OFFSET + 8 + 8 + tag_len as u64;
         Ok(RunReader {
             reader,
             type_tag,
             version,
             expected,
             read: 0,
-            remaining_bytes: file_len.saturating_sub(header_len),
+            remaining_bytes: len.saturating_sub(header_len),
             payload: Vec::new(),
             cursor: 0,
             _marker: PhantomData,
@@ -1009,6 +1109,107 @@ mod tests {
                 }
             }
             assert!(failed, "cut at {cut} silently succeeded");
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Two runs encoded back to back into one file, the way a spill file
+    /// holds them: the file's path and the two runs' segments.
+    fn two_segment_file(name: &str) -> (PathBuf, CompletedRun, CompletedRun) {
+        let mut bytes = Vec::new();
+        let first_bytes = encode_run(&(0..100).collect::<Vec<u64>>(), &mut bytes).unwrap();
+        let split = bytes.len() as u64;
+        let second_bytes = encode_run(&(1000..1150).collect::<Vec<u64>>(), &mut bytes).unwrap();
+        let path = temp_path(name);
+        std::fs::write(&path, &bytes).unwrap();
+        let first = CompletedRun {
+            path: path.clone(),
+            offset: 0,
+            len: split,
+            records: 100,
+            bytes: first_bytes,
+        };
+        let second = CompletedRun {
+            path: path.clone(),
+            offset: split,
+            len: bytes.len() as u64 - split,
+            records: 150,
+            bytes: second_bytes,
+        };
+        (path, first, second)
+    }
+
+    /// Reads `run` to its end or its first error, asserting that no record
+    /// of the neighbouring run (keys ≥ 1000) was ever yielded.
+    fn read_isolated(run: &CompletedRun) -> Result<Vec<u64>, StorageError> {
+        let mut records = Vec::new();
+        for record in RunReader::<u64>::open_run(run)? {
+            let record = record?;
+            assert!(record < 1000, "decoded the neighbour's record {record}");
+            records.push(record);
+        }
+        Ok(records)
+    }
+
+    #[test]
+    fn back_to_back_segments_read_only_their_own_records() {
+        let (path, first, second) = two_segment_file("segments.run");
+        assert_eq!(
+            read_isolated(&first).unwrap(),
+            (0..100).collect::<Vec<u64>>()
+        );
+        let second_records: Vec<u64> = RunReader::open_run(&second).unwrap().read_to_end().unwrap();
+        assert_eq!(second_records, (1000..1150).collect::<Vec<u64>>());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_record_count_reaching_into_the_next_segment_is_truncated() {
+        let (path, first, _) = two_segment_file("segments-count.run");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = COUNT_OFFSET as usize;
+        bytes[at..at + 8].copy_from_slice(&250u64.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        match read_isolated(&first) {
+            Err(StorageError::Truncated { expected, found }) => {
+                assert_eq!((expected, found), (250, 100));
+            }
+            other => panic!("expected Truncated, got {other:?}"),
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_block_length_reaching_into_the_next_segment_is_truncated() {
+        let (path, first, second) = two_segment_file("segments-block.run");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = COUNT_OFFSET as usize + 8 + 8 + std::any::type_name::<u64>().len();
+        let block_len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        // Still inside the file, but past the end of the first segment.
+        let reaching = block_len + second.len as u32;
+        bytes[at..at + 4].copy_from_slice(&reaching.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        assert!(matches!(
+            read_isolated(&first),
+            Err(StorageError::Truncated { found: 0, .. })
+        ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_segment_cut_short_fails_even_with_a_valid_neighbour_behind_it() {
+        // The bytes past every cut are the rest of a valid run followed by
+        // another one: only the segment bound can make these reads fail.
+        let (path, first, _) = two_segment_file("segments-cut.run");
+        for cut in 0..first.len {
+            let short = CompletedRun {
+                len: cut,
+                ..first.clone()
+            };
+            assert!(
+                read_isolated(&short).is_err(),
+                "a {cut}-byte segment silently succeeded"
+            );
         }
         std::fs::remove_file(&path).unwrap();
     }

@@ -210,8 +210,8 @@ impl MatchingPipeline {
     }
 
     /// Sets the directory spilled runs are written under (default: the
-    /// system temp directory).  Each job cleans its spill files up when it
-    /// finishes.
+    /// system temp directory).  Each job spills into one file there and
+    /// deletes it when it finishes.
     pub fn spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.job = self.job.with_spill_dir(dir);
         self

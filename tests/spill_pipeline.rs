@@ -77,7 +77,7 @@ fn budgeted_pipeline_is_byte_identical_spills_and_cleans_up() {
     let per_job_runs: u64 = budgeted.report.jobs.iter().map(|m| m.disk_runs).sum();
     assert_eq!(per_job_runs, budgeted.report.totals.disk_runs);
 
-    // (3) Every SpillManager removed its directory.
+    // (3) Every SpillManager removed its spill file.
     assert_eq!(
         std::fs::read_dir(&spill_base).unwrap().count(),
         0,
