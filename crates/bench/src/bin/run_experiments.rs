@@ -137,9 +137,29 @@ fn run_experiment(name: &str, set: &mut ExperimentSet) -> Result<(), String> {
             }
         }
         "shuffle" => println!("{}", experiments::shuffle_ablation(set)),
-        "spill" => println!("{}", experiments::spill_ablation(set)),
+        "spill" => {
+            let rows = experiments::spill_rows(set);
+            // Spilling must never change the output; a budgeted run that
+            // differs from the unlimited one is a correctness bug.
+            if let Some(row) = rows.iter().find(|row| !row.output_matches_unlimited) {
+                return Err(format!(
+                    "spilled run diverged from the unlimited-budget run: {row:?}"
+                ));
+            }
+            println!("{}", experiments::spill_table(&rows));
+        }
         "join" => println!("{}", experiments::join_ablation(set)),
-        "rounds" => println!("{}", experiments::rounds_ablation(set)),
+        "rounds" => {
+            let rows = experiments::rounds_rows(set);
+            // Out-of-core rounds must reach the same final matching as the
+            // unlimited-budget run of the same algorithm.
+            if let Some(row) = rows.iter().find(|row| !row.matches_unlimited) {
+                return Err(format!(
+                    "budgeted matching diverged from the unlimited-budget run: {row:?}"
+                ));
+            }
+            println!("{}", experiments::rounds_table(&rows));
+        }
         "serving" => {
             let rows = experiments::serving_rows(set);
             // The serving index shares the batch probe's pruning math and

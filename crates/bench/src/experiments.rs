@@ -841,10 +841,11 @@ pub fn spill_rows(set: &mut ExperimentSet) -> Vec<SpillAblationRow> {
     rows
 }
 
-/// Out-of-core ablation: disk runs, spilled bytes and wall time as a
-/// function of the memory budget, with a byte-identity check against the
-/// unlimited-budget run.
-pub fn spill_ablation(set: &mut ExperimentSet) -> Table {
+/// Renders the out-of-core ablation rows: disk runs, spilled bytes and
+/// wall time as a function of the memory budget, with the byte-identity
+/// check against the unlimited-budget run (lets drivers fail the run on a
+/// miss before printing).
+pub fn spill_table(rows: &[SpillAblationRow]) -> Table {
     let mut table = Table::new(
         "Spill ablation: memory budget vs disk runs (output checked byte-identical)",
         &[
@@ -859,7 +860,7 @@ pub fn spill_ablation(set: &mut ExperimentSet) -> Table {
             "identical",
         ],
     );
-    for row in spill_rows(set) {
+    for row in rows {
         table.push_row(vec![
             row.dataset.clone(),
             budget_name(row.budget),
@@ -979,11 +980,12 @@ pub fn rounds_rows(set: &mut ExperimentSet) -> Vec<RoundsAblationRow> {
     rows
 }
 
-/// Matching-rounds ablation: rounds, shuffle volume, engine disk runs and
-/// peak round state as a function of the memory budget, with a
-/// byte-identity check of the final matching against the unlimited-budget
-/// run.
-pub fn rounds_ablation(set: &mut ExperimentSet) -> Table {
+/// Renders the matching-rounds ablation rows: rounds, shuffle volume,
+/// engine disk runs and peak round state as a function of the memory
+/// budget, with the byte-identity check of the final matching against the
+/// unlimited-budget run (lets drivers fail the run on a miss before
+/// printing).
+pub fn rounds_table(rows: &[RoundsAblationRow]) -> Table {
     let mut table = Table::new(
         "Rounds ablation: out-of-core matching rounds (final matching checked byte-identical)",
         &[
@@ -999,7 +1001,7 @@ pub fn rounds_ablation(set: &mut ExperimentSet) -> Table {
             "identical",
         ],
     );
-    for row in rounds_rows(set) {
+    for row in rows {
         table.push_row(vec![
             row.dataset.clone(),
             row.algorithm.name().to_string(),

@@ -7,8 +7,7 @@
 //! | Lane | Baseline | Optimised |
 //! |---|---|---|
 //! | `codec` | [`Codec::encode_to_vec`], one allocation per record | [`Codec::encode_into`], caller-owned scratch |
-//! | `runio` | version-1 run file, one read per frame | version-2 block-framed file, one read per ~64 KiB block |
-//! | `merge` | `BinaryHeap` k-way merge (`merge_runs_reference`) | loser-tree merge (`merge_runs`) |
+//! | `merge` | `BinaryHeap` k-way merge (`heap_merge`, below) | loser-tree merge (`merge_runs`) |
 //! | `probe` | array-of-structs postings + `HashMap` scores | struct-of-arrays postings + open-addressed [`ScoreAccumulator`] |
 //!
 //! plus the end-to-end pipeline across memory budgets {4 KiB, ∞} ×
@@ -21,7 +20,8 @@
 //! CI regression gate compares ratios within a 15% tolerance.  See
 //! `docs/perf.md`.
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
 use std::hint::black_box;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -29,11 +29,10 @@ use std::time::Instant;
 
 use smr_datagen::DatasetPreset;
 use smr_graph::BipartiteGraph;
-use smr_mapreduce::shuffle::merge_runs_reference;
 use smr_mapreduce::{merge_runs, JobConfig};
 use smr_simjoin::join::probe_partition;
 use smr_simjoin::{IndexPartition, PartialScore, Posting, ScoreAccumulator};
-use smr_storage::{Codec, RunReader, RunWriter};
+use smr_storage::Codec;
 use smr_text::{TermId, TokenizerConfig};
 use social_content_matching::MatchingPipeline;
 
@@ -82,7 +81,7 @@ impl LaneSample {
 /// A baseline/optimised pair for one lane.
 #[derive(Debug, Clone)]
 pub struct LaneComparison {
-    /// Lane name (`codec`, `runio`, `merge`, `probe`).
+    /// Lane name (`codec`, `merge`, `probe`).
     pub lane: &'static str,
     /// The replaced implementation, re-run in this process.
     pub baseline: LaneSample,
@@ -220,7 +219,7 @@ fn reps(scale: ExperimentScale) -> usize {
     }
 }
 
-/// The record type the codec and run-file lanes push through: the probe
+/// The record type the codec lane pushes through: the probe
 /// shuffle's actual wire shape, `((item, consumer), PartialScore)`-like.
 type WireRecord = ((u64, u64), (f64, f64));
 
@@ -278,46 +277,55 @@ fn codec_lane(scale: ExperimentScale) -> LaneComparison {
     }
 }
 
-/// Run-file lane: reading back a version-1 file (one frame per record)
-/// vs a version-2 block-framed file (one read per ~64 KiB block).
-fn runio_lane(scale: ExperimentScale, dir: &Path) -> LaneComparison {
-    let records = wire_records(scale);
-    let reps = reps(scale);
-    let v1 = dir.join("perf-v1.run");
-    let v2 = dir.join("perf-v2.run");
-    let mut w1: RunWriter<WireRecord> = RunWriter::create_legacy_v1(&v1).unwrap();
-    let mut w2: RunWriter<WireRecord> = RunWriter::create(&v2).unwrap();
-    for record in &records {
-        w1.push(record).unwrap();
-        w2.push(record).unwrap();
+/// The retired shuffle merge: a `BinaryHeap` k-way merge breaking key
+/// ties by run index — the same `(key, run, position)` order as the loser
+/// tree — kept here as the merge lane's executable baseline.
+fn heap_merge<K: Ord, V>(runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
+    struct HeapEntry<K, V> {
+        key: K,
+        value: V,
+        run: usize,
     }
-    w1.finish().unwrap();
-    w2.finish().unwrap();
-    let read_all = |path: &Path| {
-        let reader: RunReader<WireRecord> = RunReader::open(path).unwrap();
-        black_box(reader.read_to_end().unwrap()).len() as u64
-    };
-    let (base_ms, base_n) = best_of(reps, || read_all(&v1));
-    let (opt_ms, opt_n) = best_of(reps, || read_all(&v2));
-    assert_eq!(base_n, opt_n, "both format versions hold the same records");
-    let comparison = LaneComparison {
-        lane: "runio",
-        baseline: LaneSample {
-            name: "runio_v1_read".into(),
-            wall_ms: base_ms,
-            records: base_n,
-            bytes: std::fs::metadata(&v1).unwrap().len(),
-        },
-        optimized: LaneSample {
-            name: "runio_v2_read".into(),
-            wall_ms: opt_ms,
-            records: opt_n,
-            bytes: std::fs::metadata(&v2).unwrap().len(),
-        },
-    };
-    let _ = std::fs::remove_file(&v1);
-    let _ = std::fs::remove_file(&v2);
-    comparison
+    impl<K: Ord, V> PartialEq for HeapEntry<K, V> {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key && self.run == other.run
+        }
+    }
+    impl<K: Ord, V> Eq for HeapEntry<K, V> {}
+    impl<K: Ord, V> PartialOrd for HeapEntry<K, V> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<K: Ord, V> Ord for HeapEntry<K, V> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reversed: the max-heap must surface the smallest (key, run).
+            other
+                .key
+                .cmp(&self.key)
+                .then_with(|| other.run.cmp(&self.run))
+        }
+    }
+    let mut iters: Vec<_> = runs.into_iter().map(Vec::into_iter).collect();
+    let total: usize = iters.iter().map(|i| i.size_hint().0).sum();
+    let mut heap: BinaryHeap<HeapEntry<K, V>> = BinaryHeap::with_capacity(iters.len());
+    for (run, iter) in iters.iter_mut().enumerate() {
+        if let Some((key, value)) = iter.next() {
+            heap.push(HeapEntry { key, value, run });
+        }
+    }
+    let mut merged = Vec::with_capacity(total);
+    while let Some(entry) = heap.pop() {
+        merged.push((entry.key, entry.value));
+        if let Some((key, value)) = iters[entry.run].next() {
+            heap.push(HeapEntry {
+                key,
+                value,
+                run: entry.run,
+            });
+        }
+    }
+    merged
 }
 
 /// Merge lane: the retired `BinaryHeap` k-way merge vs the loser tree,
@@ -356,7 +364,7 @@ fn merge_lane(scale: ExperimentScale) -> LaneComparison {
     let mut pool: Vec<_> = (0..reps).map(|_| runs.clone()).collect();
     let (base_ms, base_out) = best_of(reps, || {
         let input = pool.pop().expect("one clone per rep");
-        black_box(merge_runs_reference(input)).len() as u64
+        black_box(heap_merge(input)).len() as u64
     });
     let mut pool: Vec<_> = (0..reps).map(|_| runs.clone()).collect();
     let (opt_ms, opt_out) = best_of(reps, || {
@@ -682,15 +690,7 @@ fn evaluate_gates(
 /// `crates/bench/perf_baseline.json`, when present) and returns the
 /// report.  Pure measurement — callers decide what a failed gate means.
 pub fn run_perf(scale: ExperimentScale, baseline_json: Option<&str>) -> PerfReport {
-    let dir = std::env::temp_dir().join(format!("smr-perf-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir for the run-file lane");
-    let lanes = vec![
-        codec_lane(scale),
-        runio_lane(scale, &dir),
-        merge_lane(scale),
-        probe_lane(scale),
-    ];
-    let _ = std::fs::remove_dir_all(&dir);
+    let lanes = vec![codec_lane(scale), merge_lane(scale), probe_lane(scale)];
     let (pipeline, graphs) = pipeline_samples(scale);
     let gates = evaluate_gates(&lanes, &pipeline, &graphs, baseline_json);
     PerfReport {
@@ -816,19 +816,14 @@ mod tests {
             "hard gates failed: {:?}",
             report.hard_failures()
         );
-        assert_eq!(report.lanes.len(), 4);
+        assert_eq!(report.lanes.len(), 3);
         assert_eq!(report.pipeline.len(), 4);
         for lane in &report.lanes {
             assert!(lane.baseline.records > 0);
             assert!(lane.baseline.ns_per_record() > 0.0);
         }
         let json = to_json(&report);
-        for key in [
-            "codec_speedup",
-            "merge_speedup",
-            "probe_speedup",
-            "runio_speedup",
-        ] {
+        for key in ["codec_speedup", "merge_speedup", "probe_speedup"] {
             assert!(json_number(&json, key).is_some(), "JSON missing {key}");
         }
         assert!(json.contains("\"pipeline_t8_b4096\""));

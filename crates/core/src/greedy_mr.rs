@@ -18,11 +18,10 @@
 //! property highlighted in the paper (Figure 5): the run can be stopped at
 //! any round and still return a valid b-matching.
 //!
-//! Execution is structured as an [`IterativeJob`] driven by the
-//! [`IterativeDriver`], with every round's MapReduce job built through a
-//! [`FlowContext`] — so the driver's round accounting and the flow's
-//! per-job metrics describe the same jobs, and the caller-provided flow
-//! of [`GreedyMr::run`] folds the rounds into a larger pipeline's
+//! Execution is a plain loop of rounds, each one MapReduce job built
+//! through a [`FlowContext`] — so the run's round accounting and the
+//! flow's per-job metrics describe the same jobs, and the caller-provided
+//! flow of [`GreedyMr::run`] folds the rounds into a larger pipeline's
 //! [`smr_mapreduce::FlowReport`].  Between rounds the surviving node
 //! records live in a disk-backed [`RoundState`], so the run never
 //! retains the full candidate edge list in memory.
@@ -30,10 +29,7 @@
 use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, Capacities, EdgeId, Matching, NodeId};
 use smr_mapreduce::flow::FlowContext;
-use smr_mapreduce::{
-    Emitter, IterativeDriver, IterativeJob, JobMetrics, Mapper, Reducer, RoundOutcome, RoundState,
-    RunSummary,
-};
+use smr_mapreduce::{Emitter, Mapper, Reducer, RoundState};
 use smr_storage::impl_codec_struct;
 
 use crate::config::GreedyMrConfig;
@@ -228,6 +224,7 @@ impl GreedyMr {
         caps: &Capacities,
         flow: &FlowContext,
     ) -> MatchingRun {
+        let jobs_start = flow.num_jobs();
         let mut state: RoundState<NodeId, GreedyRoundOutput> = flow.round_state("greedy-rounds");
         state.seed(
             build_node_records(graph, caps)
@@ -243,75 +240,49 @@ impl GreedyMr {
                 })
                 .collect(),
         );
-        let mut rounds = GreedyRounds {
-            flow,
-            graph,
-            state,
-            matching: Matching::new(graph.num_edges()),
-            value_per_round: Vec::new(),
-        };
-        // An edgeless graph runs zero rounds (and zero jobs), exactly like
-        // the pre-flow driver loop.
-        let summary = if rounds.state.is_empty() {
-            RunSummary::default()
-        } else {
-            IterativeDriver::new(self.config.max_rounds).run(&mut rounds)
-        };
+        let mut matching = Matching::new(graph.num_edges());
+        let mut value_per_round = Vec::new();
+        let mut rounds = 0usize;
 
+        for round in 0..self.config.max_rounds {
+            // Converged: no live edge remains.  An edgeless graph stops
+            // here before its first round, running zero jobs.
+            if state.is_empty() {
+                break;
+            }
+            flow.mark_round();
+            let output = state
+                .dataset_with(|node, out| (node, out.record))
+                .map_with(ProposeMapper)
+                .named(format!("round-{round}"))
+                .reduce_with(IntersectReducer)
+                .collect();
+            rounds += 1;
+
+            // Absorb the round output: matched edges land in the matching,
+            // matched-out (isolated) nodes are retired from the next
+            // round's input.  Progress is guaranteed: the globally heaviest
+            // live edge is the heaviest live edge of both of its endpoints,
+            // so both propose it and it is matched — every round either
+            // matches an edge or runs on an already-empty graph.
+            state.absorb(output, |_, out| {
+                for &e in &out.matched {
+                    matching.insert(e);
+                }
+                !out.record.is_isolated()
+            });
+            value_per_round.push(matching.value(graph));
+        }
+
+        let job_metrics = flow.jobs_from(jobs_start);
         MatchingRun {
             algorithm: AlgorithmKind::GreedyMr,
-            matching: rounds.matching,
-            mr_jobs: summary.jobs,
-            rounds: summary.rounds,
-            value_per_round: rounds.value_per_round,
-            job_metrics: summary.job_metrics,
-            max_round_state_bytes: rounds.state.max_state_bytes(),
-        }
-    }
-}
-
-/// The per-round state of a GreedyMR run, driven by [`IterativeDriver`].
-/// The records surviving between rounds live in the disk-backed `state`,
-/// not in this struct.
-struct GreedyRounds<'a> {
-    flow: &'a FlowContext,
-    graph: &'a BipartiteGraph,
-    state: RoundState<NodeId, GreedyRoundOutput>,
-    matching: Matching,
-    value_per_round: Vec<f64>,
-}
-
-impl IterativeJob for GreedyRounds<'_> {
-    fn run_round(&mut self, round: usize) -> (RoundOutcome, Vec<JobMetrics>) {
-        self.flow.mark_round();
-        let jobs_before = self.flow.num_jobs();
-        let output = self
-            .state
-            .dataset_with(|node, out| (node, out.record))
-            .map_with(ProposeMapper)
-            .named(format!("round-{round}"))
-            .reduce_with(IntersectReducer)
-            .collect();
-        let metrics = self.flow.jobs_from(jobs_before);
-
-        // Absorb the round output: matched edges land in the matching,
-        // matched-out (isolated) nodes are retired from the next round's
-        // input.  Progress is guaranteed: the globally heaviest live edge
-        // is the heaviest live edge of both of its endpoints, so both
-        // propose it and it is matched — every round either matches an
-        // edge or runs on an already-empty graph.
-        let matching = &mut self.matching;
-        self.state.absorb(output, |_, out| {
-            for &e in &out.matched {
-                matching.insert(e);
-            }
-            !out.record.is_isolated()
-        });
-        self.value_per_round.push(self.matching.value(self.graph));
-        if self.state.is_empty() {
-            (RoundOutcome::Converged, metrics)
-        } else {
-            (RoundOutcome::Continue, metrics)
+            matching,
+            mr_jobs: job_metrics.len(),
+            rounds,
+            value_per_round,
+            job_metrics,
+            max_round_state_bytes: state.max_state_bytes(),
         }
     }
 }
@@ -512,10 +483,18 @@ mod tests {
     #[test]
     fn respects_round_budget() {
         let (g, caps) = small_instance();
-        let run = run(GreedyMr::new(config().with_max_rounds(1)), &g, &caps);
-        assert_eq!(run.rounds, 1);
+        let one = run(GreedyMr::new(config().with_max_rounds(1)), &g, &caps);
+        assert_eq!(one.rounds, 1);
         // Still feasible (any-time property).
-        assert!(run.matching.is_feasible(&g, &caps));
+        assert!(one.matching.is_feasible(&g, &caps));
+
+        // A zero budget runs nothing and returns the empty, feasible
+        // matching.
+        let zero = run(GreedyMr::new(config().with_max_rounds(0)), &g, &caps);
+        assert_eq!((zero.rounds, zero.mr_jobs), (0, 0));
+        assert!(zero.job_metrics.is_empty() && zero.value_per_round.is_empty());
+        assert!(zero.matching.is_empty());
+        assert!(zero.matching.is_feasible(&g, &caps));
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //! * [`matching`] — b-matching solutions: value, feasibility, and the
 //!   average capacity-violation measure ε′ of Section 6,
 //! * [`stats`] — histograms of edge similarities and capacities
-//!   (Figures 6 and 7),
-//! * [`io`] — a plain-text edge-list format for persisting graphs.
+//!   (Figures 6 and 7).
+//!
+//! Graph records reach disk only as `Codec`-encoded records in
+//! `smr_storage` run files (the ids here implement `Codec`); the crate
+//! has no text format.
 //!
 //! # Example
 //!
@@ -42,7 +45,6 @@
 pub mod bipartite;
 pub mod capacity;
 pub mod ids;
-pub mod io;
 pub mod matching;
 pub mod stats;
 

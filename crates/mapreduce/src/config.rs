@@ -33,7 +33,7 @@ fn env_spill_dir() -> Option<PathBuf> {
     Some(PathBuf::from(dir))
 }
 
-/// Configuration of a single MapReduce job (and, via the driver, of every
+/// Configuration of a single MapReduce job (and, via a flow, of every
 /// round of an iterative algorithm).
 ///
 /// The defaults give a job that uses every available core, one map task per

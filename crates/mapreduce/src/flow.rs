@@ -464,8 +464,8 @@ impl<K: Key, V: Value> RoundState<K, V> {
                 // round file was installed: `try_clone` + rewind is
                 // cheaper than a path lookup + open per round.  The
                 // dup shares the file offset, so collects of one
-                // round must stay sequential (they do: the driver
-                // collects a round's dataset exactly once at a time).
+                // round must stay sequential (they do: every round
+                // loop collects a round's dataset exactly once at a time).
                 let reader = match &handle {
                     Some(handle) => handle
                         .try_clone()

@@ -30,11 +30,11 @@
 //!   shuffled, wall-clock per phase) so the experiments can report the same
 //!   efficiency measures the paper reports (number of MapReduce iterations,
 //!   communication cost per round),
-//! * an iterative [`driver`] for algorithms that chain many rounds
-//!   (GreedyMR, StackMR),
-//! * a lazy job-chain [`flow`] API whose [`flow::RoundState`] keeps the
-//!   records that survive between rounds in run files — the role HDFS
-//!   plays between Hadoop rounds.
+//! * a lazy job-chain [`flow`] API for algorithms that chain many rounds
+//!   (GreedyMR, StackMR): [`FlowContext::mark_round`] attributes jobs to
+//!   rounds, and [`flow::RoundState`] keeps the records that survive
+//!   between rounds in run files — the role HDFS plays between Hadoop
+//!   rounds.
 //!
 //! The engine is deliberately faithful to the programming model rather than
 //! to the physical deployment: the number of rounds an algorithm needs, the
@@ -136,7 +136,6 @@
 
 pub mod config;
 pub mod counters;
-pub mod driver;
 pub mod executor;
 pub mod flow;
 pub mod metrics;
@@ -149,7 +148,6 @@ pub mod types;
 
 pub use config::JobConfig;
 pub use counters::{Counter, Counters};
-pub use driver::{IterativeDriver, IterativeJob, RoundOutcome, RunSummary};
 pub use executor::{Job, JobResult};
 pub use flow::{Dataset, FlowContext, FlowReport, RoundState};
 pub use metrics::{JobMetrics, PhaseTimings};
@@ -163,7 +161,6 @@ pub use types::{Codec, Combiner, Emitter, IdentityCombiner, Mapper, Reducer};
 pub mod prelude {
     pub use crate::config::JobConfig;
     pub use crate::counters::Counters;
-    pub use crate::driver::{IterativeDriver, IterativeJob, RoundOutcome, RunSummary};
     pub use crate::executor::{Job, JobResult};
     pub use crate::flow::{Dataset, FlowContext, FlowReport, RoundState};
     pub use crate::metrics::JobMetrics;

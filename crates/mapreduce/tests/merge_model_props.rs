@@ -1,15 +1,14 @@
-//! Property tests locking the tournament (loser-tree) merge to the
-//! binary-heap merge it replaced: across run counts {1, 2, 7, 64} and
-//! duplicate-key densities from all-distinct to nearly-all-equal, the two
-//! merges must be **byte-identical** — same records, same order, same
-//! `(key, run-position)` tie-break.  Values tag their `(run, position)` of
+//! Property tests locking the tournament (loser-tree) merge to its model,
+//! a stable sort of the runs concatenated in run order: across run counts
+//! {1, 2, 7, 64} and duplicate-key densities from all-distinct to
+//! nearly-all-equal, the two must be **byte-identical** — same records,
+//! same order, same `(key, run, position)` tie-break.  Values tag their `(run, position)` of
 //! origin, so any deviation in the determinism contract (equal keys emit
 //! in run order, within-run order intact) shows up as a concrete diff,
 //! not just a multiset mismatch.
 
 use proptest::prelude::*;
 use smr_mapreduce::merge_runs;
-use smr_mapreduce::shuffle::merge_runs_reference;
 
 /// Deterministic xorshift so run shapes derive from one seed.
 struct XorShift(u64);
@@ -48,11 +47,18 @@ fn build_runs(
         .collect()
 }
 
+/// The merge's model: concatenate in run order, then stable-sort by key.
+fn concat_and_sort(runs: &[Vec<(u32, (u32, u32))>]) -> Vec<(u32, (u32, u32))> {
+    let mut all: Vec<(u32, (u32, u32))> = runs.iter().flatten().copied().collect();
+    all.sort_by_key(|record| record.0);
+    all
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn tournament_merge_is_model_identical_to_the_heap_merge(
+    fn tournament_merge_is_identical_to_the_stable_sort_model(
         seed in 1u64..1_000_000,
         key_mod in 1u64..48,
         max_len in 0usize..40,
@@ -60,10 +66,10 @@ proptest! {
         for run_count in [1usize, 2, 7, 64] {
             let runs = build_runs(seed, run_count, key_mod, max_len);
             let tournament = merge_runs(runs.clone());
-            let heap = merge_runs_reference(runs.clone());
+            let model = concat_and_sort(&runs);
             prop_assert!(
-                tournament == heap,
-                "loser tree diverged from the heap model: run_count={run_count} \
+                tournament == model,
+                "loser tree diverged from the model: run_count={run_count} \
                  key_mod={key_mod} runs={runs:?}"
             );
         }
@@ -87,6 +93,6 @@ proptest! {
         let merged = merge_runs(runs.clone());
         let expected: Vec<(u32, (u32, u32))> = runs.iter().flatten().copied().collect();
         prop_assert!(merged == expected, "tie-break order broken: {merged:?}");
-        prop_assert_eq!(&merged, &merge_runs_reference(runs));
+        prop_assert_eq!(&merged, &concat_and_sort(&runs));
     }
 }

@@ -41,9 +41,8 @@ use smr_storage::impl_codec_struct;
 use smr_text::{Corpus, SparseVector, TermId};
 
 use crate::accum::ScoreAccumulator;
-use crate::index::Posting;
 use crate::prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
-use crate::store::{DiskVectorStore, IndexPartition, PartitionedIndex, PostingsRef};
+use crate::store::{DiskVectorStore, IndexPartition, PartitionedIndex, Posting, PostingsRef};
 
 /// Names of the join's domain counters, reported in the probe job's
 /// [`JobMetrics::user_counters`].
@@ -832,6 +831,36 @@ mod tests {
             assert_eq!(result.verify_exact, probe.reduce_input_groups as usize);
             assert!(result.index_partitions >= 1);
         }
+    }
+
+    #[test]
+    fn index_mapper_emits_only_prefix_entries() {
+        let vec_of = |entries: &[(u32, f64)]| {
+            SparseVector::from_entries(entries.iter().map(|&(t, w)| (TermId(t), w)))
+        };
+        let consumers = vec![
+            vec_of(&[(0, 0.9), (1, 0.05)]),
+            vec_of(&[(1, 0.8), (2, 0.05)]),
+        ];
+        let items = vec![vec_of(&[(0, 1.0), (1, 1.0), (2, 1.0)])];
+        // Identity order: term 0 first.  The 0.05-weight tails cannot
+        // reach σ = 0.5 and must not be indexed.
+        let mapper = IndexMapper::new(
+            consumers.as_slice().into(),
+            Arc::new(vec![0, 1, 2]),
+            Arc::new(term_max_weights(&items, 3)),
+            0.5,
+        );
+        let mut out = Emitter::new();
+        for doc in 0..consumers.len() {
+            mapper.map(&doc, &doc, &mut out);
+        }
+        let emitted: Vec<(u32, usize, f64, f64)> = out
+            .into_pairs()
+            .into_iter()
+            .map(|(term, p)| (term, p.doc, p.weight, p.bound))
+            .collect();
+        assert_eq!(emitted, vec![(0, 0, 0.9, 0.05), (1, 1, 0.8, 0.05)]);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   vector must be indexed so that no pair above the threshold can be
 //!   missed, and what the pruned suffix could still contribute (the
 //!   *remainder bound* of partial-product verification),
-//! * [`index`] — the pruned inverted index over consumer vectors,
-//! * [`store`] — the join's disk-backed side data: the index in term-range
-//!   partitions and the corpora in vector chunks, both opened on demand,
+//! * [`store`] — the join's disk-backed side data: the pruned inverted
+//!   index ([`Posting`]s in term-range partitions) and the corpora in
+//!   vector chunks, both opened on demand,
 //! * [`baseline`] — an exact all-pairs join used as ground truth,
 //! * [`join`] — the two-MapReduce-job join (index construction, then
 //!   partial-product probing with suffix-bound pruning + exact
@@ -65,7 +65,6 @@
 
 pub mod accum;
 pub mod baseline;
-pub mod index;
 pub mod join;
 pub mod prefix;
 pub mod serving;
@@ -73,7 +72,6 @@ pub mod store;
 
 pub use accum::ScoreAccumulator;
 pub use baseline::baseline_similarity_join;
-pub use index::{InvertedIndex, Posting};
 pub use join::{
     align_vector_spaces, corpus_labels, mapreduce_similarity_join, rarest_first_rank,
     stage_shuffles, IndexMapper, IndexReducer, PartialScore, PartialScoreCombiner, SimJoinResult,
@@ -81,16 +79,15 @@ pub use join::{
 };
 pub use prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
 pub use serving::{ScoredMatch, ServingIndex};
-pub use store::{DiskVectorStore, IndexPartition, PartitionedIndex, PostingsRef};
+pub use store::{DiskVectorStore, IndexPartition, PartitionedIndex, Posting, PostingsRef};
 
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::baseline::baseline_similarity_join;
-    pub use crate::index::{InvertedIndex, Posting};
     pub use crate::join::{
         align_vector_spaces, corpus_labels, mapreduce_similarity_join, PartialScore, SimJoinResult,
     };
     pub use crate::prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
     pub use crate::serving::{ScoredMatch, ServingIndex};
-    pub use crate::store::{DiskVectorStore, IndexPartition, PartitionedIndex};
+    pub use crate::store::{DiskVectorStore, IndexPartition, PartitionedIndex, Posting};
 }

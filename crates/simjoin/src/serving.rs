@@ -37,10 +37,9 @@ use smr_storage::DatasetStore;
 use smr_text::SparseVector;
 
 use crate::accum::ScoreAccumulator;
-use crate::index::Posting;
 use crate::join::{probe_partition, rarest_first_rank, PRUNE_SLACK};
 use crate::prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
-use crate::store::{DiskVectorStore, PartitionedIndex};
+use crate::store::{DiskVectorStore, PartitionedIndex, Posting};
 
 /// One serving-time candidate: a consumer whose exact similarity with the
 /// query reached σ.

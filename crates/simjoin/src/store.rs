@@ -24,10 +24,9 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use smr_storage::{DatasetStore, DiskKvStore};
+use serde::{Deserialize, Serialize};
+use smr_storage::{impl_codec_struct, DatasetStore, DiskKvStore};
 use smr_text::{SparseVector, TermId};
-
-use crate::index::Posting;
 
 /// Target number of postings per index partition.
 const TARGET_ENTRIES_PER_PARTITION: usize = 4 * 1024;
@@ -161,6 +160,26 @@ impl<T> SharedCache<T> {
 // ---------------------------------------------------------------------------
 // Partitioned inverted index
 // ---------------------------------------------------------------------------
+
+/// One posting of the pruned inverted index: a consumer (by dense index),
+/// the weight of the indexed term in its vector, and the consumer's suffix
+/// remainder bound.  Only the prefix entries of each consumer vector are
+/// indexed (see [`crate::prefix`]).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct Posting {
+    /// Dense index of the consumer document.
+    pub doc: usize,
+    /// Weight of the term in that document.
+    pub weight: f64,
+    /// Upper bound on what the document's *unindexed* suffix can add to a
+    /// dot product with any item
+    /// ([`suffix_remainder_bound`](crate::prefix::suffix_remainder_bound)),
+    /// carried with every posting so partial-product verification can
+    /// threshold `accumulated score + bound` without fetching the vectors.
+    pub bound: f64,
+}
+
+impl_codec_struct!(Posting { doc, weight, bound });
 
 /// One term's postings, borrowed from a partition's column arrays.
 ///

@@ -3,8 +3,8 @@
 //!
 //! A *run file* holds a sequence of [`Codec`]-encoded records — in the
 //! engine, one sorted run of `(key, value)` pairs spilled by a map task,
-//! or one dataset of a flow's side store.  The current (version 2)
-//! on-disk layout batches record frames into blocks:
+//! or one dataset of a flow's side store.  The on-disk layout (format
+//! version 2) batches record frames into blocks:
 //!
 //! ```text
 //! ┌──────────────────────────── header ────────────────────────────┐
@@ -15,13 +15,11 @@
 //! ```
 //!
 //! where each *frame* is `payload_len u32` followed by the [`Codec`]
-//! encoding of one record, exactly as in the version-1 layout (which had
-//! no block level: frames followed the header directly).  Blocks are the
-//! format's hot-path lever: the writer accumulates frames in one reusable
-//! buffer and hands the OS ~64 KiB at a time, and the reader slurps a
-//! whole block with a single `read_exact` and then decodes straight out
-//! of the contiguous buffer — no per-record syscalls, no per-record
-//! allocations on either side.
+//! encoding of one record.  Blocks are the format's hot-path lever: the
+//! writer accumulates frames in one reusable buffer and hands the OS
+//! ~64 KiB at a time, and the reader slurps a whole block with a single
+//! `read_exact` and then decodes straight out of the contiguous buffer —
+//! no per-record syscalls, no per-record allocations on either side.
 //!
 //! All integers are little-endian.  The record count is written as
 //! [`COUNT_PENDING`] while the file is open and patched in place by
@@ -30,10 +28,11 @@
 //! prefix.  The type tag records `std::any::type_name` of the record type;
 //! readers may check it to reject datasets read back at the wrong type.
 //!
-//! [`RunReader`] reads both versions; files of any *other* version are
-//! rejected with a clean [`StorageError::VersionMismatch`] (a version-1
-//! reader rejects version-2 files the same way — the header layout is
-//! shared, only the framing after it differs).
+//! [`RunReader`] reads [`FORMAT_VERSION`] only; a file of any other
+//! version, the unframed version 1 included, is rejected with a clean
+//! [`StorageError::VersionMismatch`].  Every run file is transient (spill
+//! files, side stores, session directories), so none outlives the build
+//! that wrote it.
 //!
 //! A run need not fill its file.  A job's spill file packs many runs back
 //! to back, each a complete header-plus-blocks image at its own offset;
@@ -53,14 +52,8 @@ use crate::codec::{Codec, CodecError};
 /// File magic of every smr_storage file.
 pub const MAGIC: [u8; 4] = *b"SMRF";
 
-/// Current format version (block-framed).  Readers accept this and
-/// [`LEGACY_FORMAT_VERSION`]; writers produce this unless appending to a
-/// legacy file.
+/// The format version every writer produces and every reader accepts.
 pub const FORMAT_VERSION: u16 = 2;
-
-/// The original per-record-frame layout.  Still readable (and appendable)
-/// so datasets written by older builds keep working.
-pub const LEGACY_FORMAT_VERSION: u16 = 1;
 
 /// Sentinel record count of a file whose writer has not finished.
 pub const COUNT_PENDING: u64 = u64::MAX;
@@ -68,7 +61,7 @@ pub const COUNT_PENDING: u64 = u64::MAX;
 /// Byte offset of the record count inside the header (magic + version).
 const COUNT_OFFSET: u64 = (MAGIC.len() + std::mem::size_of::<u16>()) as u64;
 
-/// Frame bytes a version-2 writer accumulates before flushing a block.
+/// Frame bytes a writer accumulates before flushing a block.
 const BLOCK_TARGET_BYTES: usize = 64 * 1024;
 
 /// An error raised by the storage layer.
@@ -156,17 +149,12 @@ impl From<CodecError> for StorageError {
     }
 }
 
-/// Writes the file header — magic, `version`, the record `count` (the
-/// final one, or [`COUNT_PENDING`] until a writer finishes) and the
+/// Writes the file header — magic, [`FORMAT_VERSION`], the record `count`
+/// (the final one, or [`COUNT_PENDING`] until a writer finishes) and the
 /// length-prefixed type tag — and returns its length in bytes.
-fn write_header(
-    out: &mut impl Write,
-    version: u16,
-    count: u64,
-    type_tag: &str,
-) -> Result<u64, StorageError> {
+fn write_header(out: &mut impl Write, count: u64, type_tag: &str) -> Result<u64, StorageError> {
     out.write_all(&MAGIC)?;
-    out.write_all(&version.to_le_bytes())?;
+    out.write_all(&FORMAT_VERSION.to_le_bytes())?;
     out.write_all(&count.to_le_bytes())?;
     out.write_all(&(type_tag.len() as u64).to_le_bytes())?;
     out.write_all(type_tag.as_bytes())?;
@@ -175,29 +163,25 @@ fn write_header(
 
 /// The record framing every writer shares: frames are encoded straight
 /// into one reusable block buffer, which goes to the sink as one block
-/// (version 2) whenever it passes the ~64 KiB target, or frame by frame
-/// without block headers (version 1).
+/// whenever it passes the ~64 KiB target.
 #[derive(Debug)]
 struct Framer<W> {
     sink: W,
-    version: u16,
     records: u64,
     /// Frame bytes pushed (block headers excluded).
     bytes: u64,
     /// Bytes handed to the sink, block headers included.
     written: u64,
-    /// Frames accumulated for the current block (version 1: at most the
-    /// one frame being built).
+    /// Frames accumulated for the current block.
     block: Vec<u8>,
     /// Records in the current block.
     block_records: u32,
 }
 
 impl<W: Write> Framer<W> {
-    fn new(sink: W, version: u16, records: u64) -> Self {
+    fn new(sink: W, records: u64) -> Self {
         Framer {
             sink,
-            version,
             records,
             bytes: 0,
             written: 0,
@@ -225,50 +209,42 @@ impl<W: Write> Framer<W> {
         self.records += 1;
         self.block_records += 1;
         self.bytes += 4 + u64::from(len);
-        if self.version == LEGACY_FORMAT_VERSION || self.block.len() >= BLOCK_TARGET_BYTES {
+        if self.block.len() >= BLOCK_TARGET_BYTES {
             self.flush_block()?;
         }
         Ok(())
     }
 
-    /// Writes the accumulated block (with its block header on version 2)
-    /// and resets the buffer.
+    /// Writes the accumulated block behind its block header and resets
+    /// the buffer.
     fn flush_block(&mut self) -> Result<(), StorageError> {
         if self.block_records == 0 {
             return Ok(());
         }
-        if self.version != LEGACY_FORMAT_VERSION {
-            let block_len = u32::try_from(self.block.len()).map_err(|_| {
-                StorageError::Codec(CodecError::InvalidData(format!(
-                    "block of {} bytes exceeds the 4 GiB limit",
-                    self.block.len()
-                )))
-            })?;
-            self.sink.write_all(&block_len.to_le_bytes())?;
-            self.sink.write_all(&self.block_records.to_le_bytes())?;
-            self.written += 8;
-        }
+        let block_len = u32::try_from(self.block.len()).map_err(|_| {
+            StorageError::Codec(CodecError::InvalidData(format!(
+                "block of {} bytes exceeds the 4 GiB limit",
+                self.block.len()
+            )))
+        })?;
+        self.sink.write_all(&block_len.to_le_bytes())?;
+        self.sink.write_all(&self.block_records.to_le_bytes())?;
         self.sink.write_all(&self.block)?;
-        self.written += self.block.len() as u64;
+        self.written += 8 + self.block.len() as u64;
         self.block.clear();
         self.block_records = 0;
         Ok(())
     }
 }
 
-/// Appends `records` to `out` as one complete version-2 run: exactly the
+/// Appends `records` to `out` as one complete run: exactly the
 /// bytes a [`RunWriter`] leaves in a file, except that the header carries
 /// the final record count from the start (the slice length is known, so
 /// there is nothing to patch).  Returns the frame bytes, as
 /// [`CompletedRun::bytes`] counts them.
 pub(crate) fn encode_run<R: Codec>(records: &[R], out: &mut Vec<u8>) -> Result<u64, StorageError> {
-    write_header(
-        out,
-        FORMAT_VERSION,
-        records.len() as u64,
-        std::any::type_name::<R>(),
-    )?;
-    let mut framer = Framer::new(out, FORMAT_VERSION, 0);
+    write_header(out, records.len() as u64, std::any::type_name::<R>())?;
+    let mut framer = Framer::new(out, 0);
     for record in records {
         framer.push(record)?;
     }
@@ -305,29 +281,11 @@ impl<R: Codec> RunWriter<R> {
 
     /// Creates the file with an explicit type tag.
     pub fn create_tagged(path: impl Into<PathBuf>, type_tag: &str) -> Result<Self, StorageError> {
-        Self::create_versioned(path, type_tag, FORMAT_VERSION)
-    }
-
-    /// Test/bench support: creates a writer producing the **version-1**
-    /// per-record-frame layout exactly as builds before the block-framed
-    /// format wrote it.  The current reader accepts both versions; this
-    /// exists so compatibility tests and the perf harness can produce
-    /// legacy files on demand.
-    #[doc(hidden)]
-    pub fn create_legacy_v1(path: impl Into<PathBuf>) -> Result<Self, StorageError> {
-        Self::create_versioned(path, std::any::type_name::<R>(), LEGACY_FORMAT_VERSION)
-    }
-
-    fn create_versioned(
-        path: impl Into<PathBuf>,
-        type_tag: &str,
-        version: u16,
-    ) -> Result<Self, StorageError> {
         let path = path.into();
         let mut writer = BufWriter::new(File::create(&path)?);
-        let start = write_header(&mut writer, version, COUNT_PENDING, type_tag)?;
+        let start = write_header(&mut writer, COUNT_PENDING, type_tag)?;
         Ok(RunWriter {
-            framer: Framer::new(writer, version, 0),
+            framer: Framer::new(writer, 0),
             path,
             start,
             _marker: PhantomData,
@@ -335,9 +293,7 @@ impl<R: Codec> RunWriter<R> {
     }
 
     /// Opens an existing, finished run file to append more frames, without
-    /// reading or rewriting the records already there.  The file keeps the
-    /// format version it was created with, so appends to legacy files stay
-    /// legacy-readable.
+    /// reading or rewriting the records already there.
     ///
     /// The header is validated first (magic, version, completed count).
     /// The stored record count stays untouched until [`RunWriter::finish`]
@@ -349,52 +305,41 @@ impl<R: Codec> RunWriter<R> {
         let path = path.into();
         let reader = RunReader::<R>::open(&path)?;
         let existing = reader.records();
-        let version = reader.version();
         drop(reader);
         let mut file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
             .open(&path)?;
-        // Walk the committed frames (v1) or blocks (v2) to the end of the
-        // `existing` records; anything after that is debris from a crashed
-        // append.
+        // Walk the committed blocks to the end of the `existing` records;
+        // anything after that is debris from a crashed append.  `finish`
+        // always flushes the partial block, so a committed count lands
+        // exactly on a block boundary.
         let mut pos = {
-            file.seek(SeekFrom::Start((MAGIC.len() + 2 + 8) as u64))?;
+            file.seek(SeekFrom::Start(COUNT_OFFSET + 8))?;
             let mut tag_len = [0u8; 8];
             file.read_exact(&mut tag_len)?;
-            (MAGIC.len() + 2 + 8 + 8) as u64 + u64::from_le_bytes(tag_len)
+            COUNT_OFFSET + 8 + 8 + u64::from_le_bytes(tag_len)
         };
-        if version == LEGACY_FORMAT_VERSION {
-            for _ in 0..existing {
-                file.seek(SeekFrom::Start(pos))?;
-                let mut len = [0u8; 4];
-                file.read_exact(&mut len)?;
-                pos += 4 + u64::from(u32::from_le_bytes(len));
-            }
-        } else {
-            // `finish` always flushes the partial block, so a committed
-            // count lands exactly on a block boundary.
-            let mut seen = 0u64;
-            while seen < existing {
-                file.seek(SeekFrom::Start(pos))?;
-                let mut header = [0u8; 8];
-                file.read_exact(&mut header)?;
-                let block_len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-                let n_records = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-                seen += u64::from(n_records);
-                pos += 8 + u64::from(block_len);
-            }
-            if seen != existing {
-                return Err(StorageError::Truncated {
-                    expected: existing,
-                    found: seen,
-                });
-            }
+        let mut seen = 0u64;
+        while seen < existing {
+            file.seek(SeekFrom::Start(pos))?;
+            let mut header = [0u8; 8];
+            file.read_exact(&mut header)?;
+            let block_len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
+            let n_records = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+            seen += u64::from(n_records);
+            pos += 8 + u64::from(block_len);
+        }
+        if seen != existing {
+            return Err(StorageError::Truncated {
+                expected: existing,
+                found: seen,
+            });
         }
         file.set_len(pos)?;
         file.seek(SeekFrom::Start(pos))?;
         Ok(RunWriter {
-            framer: Framer::new(BufWriter::new(file), version, existing),
+            framer: Framer::new(BufWriter::new(file), existing),
             path,
             start: pos,
             _marker: PhantomData,
@@ -469,14 +414,12 @@ pub struct CompletedRun {
 /// segment a [`CompletedRun`] names; [`RunReader::open`] and
 /// [`RunReader::from_file`] read a whole file as one segment.
 ///
-/// Version-2 runs are read a block at a time: one `read_exact` fills the
-/// reusable block buffer and records decode from the contiguous slice.
-/// Version-1 runs fall back to the original frame-by-frame path.
+/// Runs are read a block at a time: one `read_exact` fills the reusable
+/// block buffer and records decode from the contiguous slice.
 #[derive(Debug)]
 pub struct RunReader<R> {
     reader: BufReader<io::Take<File>>,
     type_tag: String,
-    version: u16,
     expected: u64,
     read: u64,
     /// Bytes of the segment left past what has been consumed — bounds
@@ -484,10 +427,9 @@ pub struct RunReader<R> {
     /// can neither force a multi-gigabyte `resize` nor reach into the
     /// bytes of a neighbouring run.
     remaining_bytes: u64,
-    /// Version 2: the current decoded-from block.  Version 1: the current
-    /// record's payload.
+    /// The current decoded-from block.
     payload: Vec<u8>,
-    /// Read position inside `payload` (version 2 only).
+    /// Read position inside `payload`.
     cursor: usize,
     _marker: PhantomData<fn() -> R>,
 }
@@ -529,7 +471,7 @@ impl<R: Codec> RunReader<R> {
         let mut version = [0u8; 2];
         read_exact_or_truncated(&mut reader, &mut version)?;
         let version = u16::from_le_bytes(version);
-        if version != FORMAT_VERSION && version != LEGACY_FORMAT_VERSION {
+        if version != FORMAT_VERSION {
             return Err(StorageError::VersionMismatch {
                 found: version,
                 expected: FORMAT_VERSION,
@@ -561,7 +503,6 @@ impl<R: Codec> RunReader<R> {
         Ok(RunReader {
             reader,
             type_tag,
-            version,
             expected,
             read: 0,
             remaining_bytes: len.saturating_sub(header_len),
@@ -574,11 +515,6 @@ impl<R: Codec> RunReader<R> {
     /// The type tag the writer stored.
     pub fn type_tag(&self) -> &str {
         &self.type_tag
-    }
-
-    /// The format version the file was written with.
-    pub fn version(&self) -> u16 {
-        self.version
     }
 
     /// Errors unless the stored type tag equals the record type's
@@ -603,9 +539,6 @@ impl<R: Codec> RunReader<R> {
     pub fn next_record(&mut self) -> Result<Option<R>, StorageError> {
         if self.read == self.expected {
             return Ok(None);
-        }
-        if self.version == LEGACY_FORMAT_VERSION {
-            return self.next_record_v1();
         }
         if self.cursor == self.payload.len() {
             self.load_block()?;
@@ -654,35 +587,6 @@ impl<R: Codec> RunReader<R> {
         result?;
         self.cursor = 0;
         Ok(())
-    }
-
-    /// The original version-1 path: one length read and one payload read
-    /// per record.
-    fn next_record_v1(&mut self) -> Result<Option<R>, StorageError> {
-        let mut len = [0u8; 4];
-        self.read_frame_bytes(&mut len)?;
-        let len = u32::from_le_bytes(len) as usize;
-        // A frame cannot be longer than what is left of the file: reject
-        // corrupt lengths *before* allocating the payload buffer.
-        if (len as u64) + 4 > self.remaining_bytes {
-            return Err(self.truncated());
-        }
-        self.remaining_bytes -= len as u64 + 4;
-        self.payload.resize(len, 0);
-        let mut payload = std::mem::take(&mut self.payload);
-        let result = self.read_frame_bytes(&mut payload);
-        self.payload = payload;
-        result?;
-        let mut slice = &self.payload[..];
-        let record = R::decode(&mut slice)?;
-        if !slice.is_empty() {
-            return Err(StorageError::Codec(CodecError::InvalidData(format!(
-                "{} trailing bytes in frame",
-                slice.len()
-            ))));
-        }
-        self.read += 1;
-        Ok(Some(record))
     }
 
     /// Wraps the reader in a retirement-aware view: records the `live`
@@ -839,7 +743,6 @@ mod tests {
         let reader: RunReader<(u32, String)> = RunReader::open(&path).unwrap();
         reader.check_type().unwrap();
         assert_eq!(reader.records(), 100);
-        assert_eq!(reader.version(), FORMAT_VERSION);
         assert_eq!(reader.read_to_end().unwrap(), records);
         std::fs::remove_file(&path).unwrap();
     }
@@ -856,37 +759,6 @@ mod tests {
         writer.finish().unwrap();
         let reader: RunReader<(u64, String)> = RunReader::open(&path).unwrap();
         assert_eq!(reader.read_to_end().unwrap(), records);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn legacy_v1_files_read_back_through_the_current_reader() {
-        let path = temp_path("legacy-v1.run");
-        let records: Vec<(u32, String)> = (0..50).map(|i| (i, format!("v{i}"))).collect();
-        let mut writer: RunWriter<(u32, String)> = RunWriter::create_legacy_v1(&path).unwrap();
-        for r in &records {
-            writer.push(r).unwrap();
-        }
-        let run = writer.finish().unwrap();
-        assert_eq!(run.records, 50);
-        let reader: RunReader<(u32, String)> = RunReader::open(&path).unwrap();
-        assert_eq!(reader.version(), LEGACY_FORMAT_VERSION);
-        assert_eq!(reader.read_to_end().unwrap(), records);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn appends_to_legacy_files_stay_in_the_legacy_format() {
-        let path = temp_path("legacy-append.run");
-        let mut writer: RunWriter<u64> = RunWriter::create_legacy_v1(&path).unwrap();
-        writer.push(&1).unwrap();
-        writer.finish().unwrap();
-        let mut appender: RunWriter<u64> = RunWriter::append_to(&path).unwrap();
-        appender.push(&2).unwrap();
-        appender.finish().unwrap();
-        let reader: RunReader<u64> = RunReader::open(&path).unwrap();
-        assert_eq!(reader.version(), LEGACY_FORMAT_VERSION);
-        assert_eq!(reader.read_to_end().unwrap(), vec![1, 2]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1004,19 +876,25 @@ mod tests {
     }
 
     #[test]
-    fn current_files_carry_a_version_older_readers_reject() {
-        // The version-1 reader's header check was `version != 1` →
-        // VersionMismatch.  A block-framed file must therefore store a
-        // version field those builds reject cleanly, rather than a layout
-        // they would misparse as frames.
-        let path = temp_path("forward-version.run");
+    fn files_carry_version_2_and_version_1_headers_are_rejected() {
+        // Version 1 (unframed frames straight after the header) is no
+        // longer read: its header must fail cleanly rather than be
+        // misparsed as blocks.
+        let path = temp_path("version-1.run");
         let mut writer: RunWriter<u64> = RunWriter::create(&path).unwrap();
         writer.push(&1).unwrap();
         writer.finish().unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let stored = u16::from_le_bytes([bytes[4], bytes[5]]);
-        assert_eq!(stored, FORMAT_VERSION);
-        assert_ne!(stored, LEGACY_FORMAT_VERSION);
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 2);
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        assert!(matches!(
+            RunReader::<u64>::open(&path),
+            Err(StorageError::VersionMismatch {
+                found: 1,
+                expected: 2
+            })
+        ));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1058,24 +936,6 @@ mod tests {
         std::fs::write(&path, bytes).unwrap();
         let mut reader: RunReader<String> = RunReader::open(&path).unwrap();
         // Must fail with a typed error (never attempt a ~4 GiB resize).
-        assert!(matches!(
-            reader.next_record(),
-            Err(StorageError::Truncated { .. })
-        ));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn corrupt_v1_frame_length_is_rejected_before_allocating() {
-        let path = temp_path("corrupt-len-v1.run");
-        let mut writer: RunWriter<String> = RunWriter::create_legacy_v1(&path).unwrap();
-        writer.push(&"payload".to_string()).unwrap();
-        writer.finish().unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let frame_len_at = 4 + 2 + 8 + 8 + std::any::type_name::<String>().len();
-        bytes[frame_len_at..frame_len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        std::fs::write(&path, bytes).unwrap();
-        let mut reader: RunReader<String> = RunReader::open(&path).unwrap();
         assert!(matches!(
             reader.next_record(),
             Err(StorageError::Truncated { .. })
